@@ -60,7 +60,7 @@ func newTestMachine(t *testing.T, code []byte) (*Machine, *testHandler) {
 
 // newTestMachineCfg is newTestMachine with an explicit machine configuration
 // (the decode-cache tests need DecodeCache set).
-func newTestMachineCfg(t *testing.T, cfg Config, code []byte) (*Machine, *testHandler) {
+func newTestMachineCfg(t testing.TB, cfg Config, code []byte) (*Machine, *testHandler) {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {

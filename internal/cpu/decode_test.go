@@ -169,22 +169,37 @@ func TestDecodeCacheFlushEpoch(t *testing.T) {
 }
 
 // TestDecodeCacheDropFrame: the split engine's precise invalidation hook.
+// The next fetch after a drop is a miss that refills the frame without a
+// second count, and fetches after that hit again.
 func TestDecodeCacheDropFrame(t *testing.T) {
 	m, _ := newCachedMachine(t, asmBytes(isa.Instr{Op: isa.OpNop}))
 	stepN(t, m, 1)
+	rerun(t, m, 1)
+	if m.Stats.DecodeHits != 1 {
+		t.Fatalf("warm fetch hits=%d want 1", m.Stats.DecodeHits)
+	}
 	frame := m.Pagetable().Get(codeVPN).Frame()
 	inv0 := m.Stats.DecodeInvalidations
 	m.DropDecodeFrame(frame)
 	if m.Stats.DecodeInvalidations != inv0+1 {
 		t.Fatalf("invalidations=%d want %d", m.Stats.DecodeInvalidations, inv0+1)
 	}
-	m.DropDecodeFrame(frame) // already empty: no double count
+	m.DropDecodeFrame(frame) // already dropped: no double count
 	if m.Stats.DecodeInvalidations != inv0+1 {
-		t.Fatal("dropping an empty frame must not count")
+		t.Fatal("dropping a dropped frame must not count")
+	}
+	hits0, miss0 := m.Stats.DecodeHits, m.Stats.DecodeMisses
+	rerun(t, m, 1)
+	if m.Stats.DecodeHits != hits0 || m.Stats.DecodeMisses != miss0+1 {
+		t.Fatalf("fetch after drop: hits %d->%d misses %d->%d, want one miss",
+			hits0, m.Stats.DecodeHits, miss0, m.Stats.DecodeMisses)
 	}
 	rerun(t, m, 1)
-	if m.Stats.DecodeHits != 0 {
-		t.Fatalf("hit after drop: %d", m.Stats.DecodeHits)
+	if m.Stats.DecodeHits != hits0+1 {
+		t.Fatalf("refilled frame did not hit: hits=%d want %d", m.Stats.DecodeHits, hits0+1)
+	}
+	if m.Stats.DecodeInvalidations != inv0+1 {
+		t.Fatalf("refill counted again: invalidations=%d want %d", m.Stats.DecodeInvalidations, inv0+1)
 	}
 }
 
@@ -275,5 +290,28 @@ func TestDecodeCacheArchitecturalInvisibility(t *testing.T) {
 	}
 	if fast.Stats.DecodeHits == 0 {
 		t.Fatal("fast run never hit the cache — the test is vacuous")
+	}
+}
+
+// TestPageTableResetForgets: a reset hides every value, including across the
+// wrap of the 16-bit generation, where a value written a whole generation
+// cycle earlier would otherwise reappear.
+func TestPageTableResetForgets(t *testing.T) {
+	var pt pageTable
+	pt.set(5, 7)
+	pt.reset()
+	if v := pt.get(5); v != 0 {
+		t.Fatalf("value %d survived a reset", v)
+	}
+	pt.set(9, 3)
+	for i := 0; i < 1<<16; i++ {
+		pt.reset()
+		if v := pt.get(9); v != 0 {
+			t.Fatalf("value %d reappeared after %d resets", v, i+1)
+		}
+	}
+	pt.set(9, 4)
+	if v := pt.get(9); v != 4 {
+		t.Fatalf("get after wrap = %d want 4", v)
 	}
 }

@@ -25,10 +25,12 @@ package cpu
 //     ends the block after delivery, exactly where Step would have returned.
 //   - Coherence reuses the predecode cache's stamps: a block is valid only
 //     while its frame's write generation (mem.Physical.Gen) and the decode
-//     epoch (bumped on TLB flush/invlpg, and per-frame via DropDecodeFrame
-//     at split-engine re-restrictions) both match compile time. Restricted
-//     pages therefore never execute from a stale block: re-restriction
-//     drops the frame's blocks before the guest can fetch again.
+//     epoch (bumped on TLB flush/invlpg) both match compile time, and only
+//     until its frame is dropped (DropDecodeFrame, at split-engine
+//     re-restrictions). Restricted pages therefore never execute from a
+//     stale block: re-restriction empties the frame's blocks and heat in
+//     place before the guest can fetch again, so hotness is re-proven
+//     without reallocating the frame's state.
 //   - The kernel's between-instruction scheduling contract is preserved:
 //     the block checks the published timeslice bound (SetSliceEnd) and
 //     consumes the chaos forced-preemption draw (Machine.Preempt) between
@@ -55,6 +57,9 @@ const (
 	// instruction traps, is undefined, or crosses the frame) so the engine
 	// stops re-attempting it.
 	sbNoCompile = 0xFFFF
+	// sbCompiled tags an entry point that has a block; the low bits index
+	// sbFrame.blocks.
+	sbCompiled = 0x8000
 )
 
 // sbSig is a compiled op's report of how its instruction ended.
@@ -92,26 +97,29 @@ type superblock struct {
 	ops []sbOp
 }
 
-// sbFrame holds the superblock state of one physical frame: entry-point
-// heat counters and the compiled blocks, guarded by the same two coherence
-// stamps the predecode cache uses.
+// sbFrame holds the superblock state of one physical frame, guarded by the
+// same two coherence stamps the predecode cache uses. state maps each entry
+// point's byte offset to its heat (below sbHotThreshold), sbNoCompile, or
+// sbCompiled plus the index of its block in blocks.
 type sbFrame struct {
-	wgen    uint64 // mem.Physical.Gen at stamp time
-	egen    uint64 // Machine.decEpoch at stamp time
-	nblocks int
-	heat    [mem.PageSize]uint16
-	blocks  [mem.PageSize]*superblock
+	blocks []*superblock
+	wgen   uint64 // mem.Physical.Gen at stamp time
+	egen   uint64 // Machine.decEpoch at stamp time
+	state  pageTable
 }
 
-// reset discards the frame's heat and blocks and restamps it. Hotness is
+// empty discards the frame's heat and blocks in place. Hotness is
 // deliberately re-proven after invalidation: rapidly self-modifying code
 // then pays at most one compile per sbHotThreshold executions.
+func (s *sbFrame) empty() {
+	clear(s.blocks) // release the discarded closures to the GC
+	s.blocks = s.blocks[:0]
+	s.state.reset()
+}
+
+// reset empties the frame and restamps it.
 func (s *sbFrame) reset(wgen, egen uint64) {
-	if s.nblocks > 0 {
-		clear(s.blocks[:])
-		s.nblocks = 0
-	}
-	clear(s.heat[:])
+	s.empty()
 	s.wgen, s.egen = wgen, egen
 }
 
@@ -128,33 +136,34 @@ func (m *Machine) sbExec(pa uint32) (res StepResult, entered bool) {
 	}
 	sbf := m.sb[f]
 	wgen := m.Phys.Gen(f)
-	if sbf == nil {
+	switch {
+	case sbf == nil:
 		sbf = &sbFrame{wgen: wgen, egen: m.decEpoch}
 		m.sb[f] = sbf
-	} else if sbf.wgen != wgen || sbf.egen != m.decEpoch {
-		if sbf.nblocks > 0 {
+	case sbf.wgen != wgen || sbf.egen != m.decEpoch:
+		if len(sbf.blocks) > 0 {
 			m.Stats.SuperblockInvalidations++
 		}
 		sbf.reset(wgen, m.decEpoch)
 	}
 	off := pa & mem.PageMask
-	blk := sbf.blocks[off]
-	if blk == nil {
-		h := sbf.heat[off]
-		if h == sbNoCompile {
-			return 0, false
-		}
-		if h+1 < sbHotThreshold {
-			sbf.heat[off] = h + 1
-			return 0, false
-		}
+	var blk *superblock
+	switch st := sbf.state.get(off); {
+	case st == sbNoCompile:
+		return 0, false
+	case st&sbCompiled != 0:
+		blk = sbf.blocks[st&^sbCompiled]
+	case st+1 < sbHotThreshold:
+		sbf.state.set(off, st+1)
+		return 0, false
+	default:
 		blk = m.sbCompile(f, off)
 		if blk == nil {
-			sbf.heat[off] = sbNoCompile
+			sbf.state.set(off, sbNoCompile)
 			return 0, false
 		}
-		sbf.blocks[off] = blk
-		sbf.nblocks++
+		sbf.state.set(off, sbCompiled|uint16(len(sbf.blocks)))
+		sbf.blocks = append(sbf.blocks, blk)
 		m.Stats.SuperblockCompiled++
 	}
 	m.Stats.SuperblockEntered++

@@ -28,7 +28,7 @@ func selfLoop(body ...isa.Instr) []byte {
 }
 
 // warmLoop steps until the engine has entered at least one compiled block.
-func warmLoop(t *testing.T, m *Machine) {
+func warmLoop(t testing.TB, m *Machine) {
 	t.Helper()
 	for i := 0; m.Stats.SuperblockEntered == 0; i++ {
 		if i > 100*sbHotThreshold {
@@ -202,7 +202,9 @@ func TestSuperblockFlushAndInvlpgInvalidate(t *testing.T) {
 }
 
 // TestSuperblockDropFrame: the split engine's precise invalidation hook
-// drops a frame's superblock state along with its predecode lines.
+// drops a frame's superblock state along with its predecode lines. The drop
+// counts once, however often it repeats, and no compiled block of the frame
+// runs again until the loop head proves hot anew and recompiles.
 func TestSuperblockDropFrame(t *testing.T) {
 	m, _ := newSBMachine(t, selfLoop(isa.Instr{Op: isa.OpNop}))
 	warmLoop(t, m)
@@ -212,12 +214,30 @@ func TestSuperblockDropFrame(t *testing.T) {
 	if m.Stats.SuperblockInvalidations != inv0+1 {
 		t.Fatalf("invalidations=%d want %d", m.Stats.SuperblockInvalidations, inv0+1)
 	}
-	if m.sb[frame] != nil {
-		t.Fatal("frame superblock state survived DropDecodeFrame")
-	}
-	m.DropDecodeFrame(frame) // already empty: no double count
+	m.DropDecodeFrame(frame) // already dropped: no double count
 	if m.Stats.SuperblockInvalidations != inv0+1 {
-		t.Fatal("dropping an empty frame must not count")
+		t.Fatal("dropping a dropped frame must not count")
+	}
+
+	// The loop (nop; jmp) fetches its head every second instruction. Each of
+	// the first sbHotThreshold-1 head fetches after the drop only heats it.
+	m.Ctx.EIP = codeBase
+	ent0, comp0 := m.Stats.SuperblockEntered, m.Stats.SuperblockCompiled
+	stepN(t, m, 2*(sbHotThreshold-1))
+	if m.Stats.SuperblockEntered != ent0 {
+		t.Fatalf("a dropped block ran: entered %d -> %d", ent0, m.Stats.SuperblockEntered)
+	}
+	if m.Ctx.EIP != codeBase {
+		t.Fatalf("EIP=%#x, want the loop head", m.Ctx.EIP)
+	}
+	stepN(t, m, 1)
+	if m.Stats.SuperblockEntered != ent0+1 || m.Stats.SuperblockCompiled != comp0+1 {
+		t.Fatalf("entered=%d compiled=%d, want %d and %d: the head must recompile once hot",
+			m.Stats.SuperblockEntered, m.Stats.SuperblockCompiled, ent0+1, comp0+1)
+	}
+	if m.Stats.SuperblockInvalidations != inv0+1 {
+		t.Fatalf("refilling a dropped frame counted again: invalidations=%d want %d",
+			m.Stats.SuperblockInvalidations, inv0+1)
 	}
 }
 
@@ -236,11 +256,8 @@ func TestSuperblockUncompilableEntryPinned(t *testing.T) {
 	if sbf == nil {
 		t.Fatal("frame never tracked")
 	}
-	if sbf.blocks[0] != nil {
-		t.Fatal("trapping entry point was compiled")
-	}
-	if sbf.heat[0] != sbNoCompile {
-		t.Fatalf("heat[0]=%d, entry not pinned uncompilable", sbf.heat[0])
+	if st := sbf.state.get(0); st != sbNoCompile {
+		t.Fatalf("state[0]=%#x, trapping entry point not pinned uncompilable", st)
 	}
 	if len(h.ints) < 2*sbHotThreshold {
 		t.Fatalf("interrupts=%d, the int stopped being delivered", len(h.ints))

@@ -404,7 +404,11 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		defer close(j.done)
 		s.runJob(poolCtx, j)
 	}
-	if !s.pool.TrySubmit(task) {
+	accepted := map[string]any{"type": "accepted", "id": id, "name": req.Name, "resumed": true}
+	if trace != "" {
+		accepted["trace"] = trace
+	}
+	if !s.submit(task, ndj, accepted) {
 		s.discardLive(id)
 		releaseKey()
 		s.rec.End(j.enqueue, "outcome", "shed")
@@ -427,11 +431,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	s.resumedIn.Add(1)
 
 	if stream {
-		accepted := map[string]any{"type": "accepted", "id": id, "name": req.Name, "resumed": true}
-		if trace != "" {
-			accepted["trace"] = trace
-		}
-		ndj.Line(accepted)
 		<-j.done
 		s.accountResult(&j.result)
 		ndj.Result(&j.result)

@@ -261,9 +261,10 @@ func TestCheckpointExportAndDetach(t *testing.T) {
 // single-node run of the same job.
 func TestResumeFromCheckpointMatchesOracle(t *testing.T) {
 	cfg := serve.Config{Workers: 2, StreamSlice: 50_000, CheckpointCycles: 50_000}
-	_, tsA := newTestServer(t, cfg)
+	srvA, tsA := newTestServer(t, cfg)
 	_, tsB := newTestServer(t, cfg)
 	_, tsO := newTestServer(t, cfg)
+	parked := serve.ParkAfterFirstCheckpoint(srvA)
 
 	body := map[string]any{"name": "oracle-job", "source": longSpinSrc, "timeout_ms": 20000}
 
@@ -292,23 +293,23 @@ func TestResumeFromCheckpointMatchesOracle(t *testing.T) {
 	var acc migLine
 	json.Unmarshal([]byte(first), &acc)
 
-	// Wait for a checkpoint, detach, and drain A's stream to find the
-	// final cursor (event lines delivered before the migration).
+	// A holds the job at its first checkpoint; detach it there and drain
+	// A's stream to find the final cursor (event lines delivered before the
+	// migration).
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no checkpoint appeared on A")
+	}
 	var exp serve.CheckpointExport
-	deadline := time.Now().Add(10 * time.Second)
-	for len(exp.Checkpoint) == 0 {
-		cr, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d/checkpoint?detach=1", tsA.URL, acc.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		json.NewDecoder(cr.Body).Decode(&exp)
-		cr.Body.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint appeared on A")
-		}
-		if len(exp.Checkpoint) == 0 {
-			time.Sleep(5 * time.Millisecond)
-		}
+	cr, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d/checkpoint?detach=1", tsA.URL, acc.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	json.NewDecoder(cr.Body).Decode(&exp)
+	cr.Body.Close()
+	if len(exp.Checkpoint) == 0 {
+		t.Fatal("A's detached export carries no checkpoint")
 	}
 	alines := readMigStream(t, br)
 	resp.Body.Close()

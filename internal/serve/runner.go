@@ -355,6 +355,9 @@ func (s *Server) runAttempt(ctx context.Context, j *job, sup *supervision) (err 
 				s.journal.logCheckpoint(j.id, used, img)
 				s.rec.End(ckSpan,
 					"bytes", strconv.Itoa(len(img)), "cycles", strconv.FormatUint(used, 10))
+				if s.afterCheckpoint != nil {
+					s.afterCheckpoint(ctx, j.id)
+				}
 			} else {
 				s.rec.End(ckSpan, "error", serr.Error())
 			}

@@ -181,6 +181,11 @@ type Server struct {
 	exportOrder []uint64          // FIFO eviction for exports
 	resumeKeys  map[string]uint64 // idempotency: migration key -> local job id
 
+	// afterCheckpoint, when non-nil, runs on a job's worker right after each
+	// checkpoint reaches the live registry, with the run's context. Only
+	// tests set it, to hold a job at a known checkpoint.
+	afterCheckpoint func(ctx context.Context, id uint64)
+
 	journal   *journal            // nil when Config.JournalPath is empty
 	hostChaos *chaos.HostInjector // nil unless Config.HostChaos has a live rate
 	rec       *hostspan.Recorder  // nil when Config.NoTracing
@@ -720,7 +725,14 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		defer close(j.done)
 		s.runJob(poolCtx, j)
 	}
-	if !s.pool.TrySubmit(task) {
+	// The accepted line is the admission acknowledgment: everything after
+	// it is the job's own event stream, terminated by exactly one result
+	// line — even when the server drains mid-run.
+	accepted := map[string]any{"type": "accepted", "id": j.id, "name": req.Name}
+	if trace != "" {
+		accepted["trace"] = trace
+	}
+	if !s.submit(task, ndj, accepted) {
 		s.discardLive(j.id)
 		s.rec.End(j.enqueue, "outcome", "shed")
 		// Retire the journal record: a shed job was never acknowledged, so
@@ -746,14 +758,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.accepted.Add(1)
 
 	if stream {
-		// The accepted line is the admission acknowledgment: everything
-		// after it is the job's own event stream, terminated by exactly one
-		// result line — even when the server drains mid-run.
-		accepted := map[string]any{"type": "accepted", "id": j.id, "name": req.Name}
-		if trace != "" {
-			accepted["trace"] = trace
-		}
-		ndj.Line(accepted)
 		<-j.done
 		s.accountResult(&j.result)
 		ndj.Result(&j.result)
@@ -764,6 +768,23 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.accountResult(&j.result)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(&j.result)
+}
+
+// submit offers task to the pool and, for a streaming job (ndj non-nil),
+// writes the accepted line once the pool takes it. The writer stays locked
+// from the offer until that line is out, so a worker whose first slice
+// emits events at once cannot stream one ahead of the acknowledgment.
+func (s *Server) submit(task fleet.Task, ndj *ndjsonWriter, accepted map[string]any) bool {
+	if ndj == nil {
+		return s.pool.TrySubmit(task)
+	}
+	ndj.mu.Lock()
+	defer ndj.mu.Unlock()
+	if !s.pool.TrySubmit(task) {
+		return false
+	}
+	ndj.lineLocked(accepted)
+	return true
 }
 
 // accountResult bumps the outcome counters for a finished job.
@@ -802,6 +823,11 @@ func newNDJSONWriter(w http.ResponseWriter, lines *atomic.Uint64) *ndjsonWriter 
 func (n *ndjsonWriter) Line(v any) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.lineLocked(v)
+}
+
+// lineLocked is Line for a caller that holds n.mu.
+func (n *ndjsonWriter) lineLocked(v any) {
 	if !n.started {
 		if hw, ok := n.w.(http.ResponseWriter); ok {
 			hw.Header().Set("Content-Type", "application/x-ndjson")

@@ -9,8 +9,12 @@
 // The model is architectural, not microarchitectural: fully-associative,
 // true-LRU replacement, per-entry caching of the frame number and the
 // User/Writable/NX permission bits exactly as they stood in the PTE when the
-// hardware walker filled the entry. (A map index accelerates the lookup; the
-// visible behavior is that of a fully-associative LRU array.)
+// hardware walker filled the entry. A small direct-mapped hint table in
+// front of the slot array accelerates the lookup without allocating: each
+// cell counts the valid entries whose vpn hashes to it and remembers the
+// slot that last held one, so a lookup checks one slot and scans the array
+// only on a hash collision. The visible behavior is that of a
+// fully-associative LRU array.
 package tlb
 
 import (
@@ -29,15 +33,25 @@ type Entry struct {
 type slot struct {
 	vpn   uint32
 	entry Entry
-	used  uint64 // LRU timestamp
 	valid bool
+	used  uint64 // LRU timestamp
+}
+
+// bucket is one hint-table cell: the number of valid slots whose vpn hashes
+// to it, and the slot that most recently held one of them. The slot is only
+// a hint and is verified against the slot array before it is trusted.
+type bucket struct {
+	n    uint32
+	slot uint32
 }
 
 // TLB is a single translation lookaside buffer.
 type TLB struct {
-	slots []slot
-	index map[uint32]int // vpn -> slot, for valid slots only
-	tick  uint64
+	slots  []slot
+	hint   []bucket // indexed by vpn&mask
+	mask   uint32
+	nvalid int
+	tick   uint64
 
 	hits      uint64
 	misses    uint64
@@ -50,26 +64,76 @@ func New(size int) *TLB {
 	if size < 1 {
 		size = 1
 	}
+	// Four hint cells per entry keep collisions rare for the clustered vpns
+	// of a process image (text, heap and stack pages).
+	n := 1
+	for n < 4*size {
+		n <<= 1
+	}
 	return &TLB{
 		slots: make([]slot, size),
-		index: make(map[uint32]int, size),
+		hint:  make([]bucket, n),
+		mask:  uint32(n - 1),
 	}
 }
 
 // Size returns the TLB capacity in entries.
 func (t *TLB) Size() int { return len(t.slots) }
 
+// find returns the slot caching vpn, or -1.
+func (t *TLB) find(vpn uint32) int {
+	b := &t.hint[vpn&t.mask]
+	if b.n == 0 {
+		return -1
+	}
+	if s := &t.slots[b.slot]; s.vpn == vpn && s.valid {
+		return int(b.slot)
+	}
+	return t.scan(b, vpn)
+}
+
+// scan is find's slow path for a bucket whose hint slot does not hold vpn.
+func (t *TLB) scan(b *bucket, vpn uint32) int {
+	if s := &t.slots[b.slot]; b.n == 1 && s.valid && s.vpn&t.mask == vpn&t.mask {
+		return -1 // the bucket's only entry is another vpn
+	}
+	for i := range t.slots {
+		if s := &t.slots[i]; s.vpn == vpn && s.valid {
+			b.slot = uint32(i)
+			return i
+		}
+	}
+	return -1
+}
+
+// link marks slot i valid in the hint table and the valid count.
+func (t *TLB) link(i int) {
+	b := &t.hint[t.slots[i].vpn&t.mask]
+	b.n++
+	b.slot = uint32(i)
+	t.nvalid++
+}
+
+// unlink invalidates the valid slot i.
+func (t *TLB) unlink(i int) {
+	s := &t.slots[i]
+	s.valid = false
+	t.hint[s.vpn&t.mask].n--
+	t.nvalid--
+}
+
 // Lookup returns the cached translation for virtual page number vpn.
 func (t *TLB) Lookup(vpn uint32) (Entry, bool) {
-	if i, ok := t.index[vpn]; ok {
-		s := &t.slots[i]
-		t.tick++
-		s.used = t.tick
-		t.hits++
-		return s.entry, true
+	i := t.find(vpn)
+	if i < 0 {
+		t.misses++
+		return Entry{}, false
 	}
-	t.misses++
-	return Entry{}, false
+	s := &t.slots[i]
+	t.tick++
+	s.used = t.tick
+	t.hits++
+	return s.entry, true
 }
 
 // Slot returns the index of the slot currently caching vpn without touching
@@ -77,8 +141,10 @@ func (t *TLB) Lookup(vpn uint32) (Entry, bool) {
 // the engine resolves the slot once per block entry (whose Lookup already
 // ran) and replays per-instruction hits through TouchSlot.
 func (t *TLB) Slot(vpn uint32) (int, bool) {
-	i, ok := t.index[vpn]
-	return i, ok
+	if i := t.find(vpn); i >= 0 {
+		return i, true
+	}
+	return 0, false
 }
 
 // TouchSlot replays the architectural bookkeeping of a Lookup hit on slot i:
@@ -97,7 +163,7 @@ func (t *TLB) TouchSlot(i int) {
 // test/introspection helper (real hardware has no such port; the kernel
 // never uses it).
 func (t *TLB) Probe(vpn uint32) (Entry, bool) {
-	if i, ok := t.index[vpn]; ok {
+	if i := t.find(vpn); i >= 0 {
 		return t.slots[i].entry, true
 	}
 	return Entry{}, false
@@ -107,31 +173,38 @@ func (t *TLB) Probe(vpn uint32) (Entry, bool) {
 // entry if the TLB is full. An existing entry for vpn is overwritten.
 func (t *TLB) Insert(vpn uint32, e Entry) {
 	t.tick++
-	if i, ok := t.index[vpn]; ok {
+	if i := t.find(vpn); i >= 0 {
 		s := &t.slots[i]
 		s.entry = e
 		s.used = t.tick
 		return
 	}
-	// Prefer an invalid slot, else evict the true LRU entry.
-	var victim *slot
-	vi := -1
-	for i := range t.slots {
-		s := &t.slots[i]
-		if !s.valid {
-			victim, vi = s, i
-			break
-		}
-		if victim == nil || s.used < victim.used {
-			victim, vi = s, i
-		}
-	}
-	if victim.valid {
-		delete(t.index, victim.vpn)
+	vi := t.victim()
+	if t.slots[vi].valid {
+		t.unlink(vi)
 		t.evictions++
 	}
-	*victim = slot{vpn: vpn, entry: e, used: t.tick, valid: true}
-	t.index[vpn] = vi
+	t.slots[vi] = slot{vpn: vpn, entry: e, used: t.tick, valid: true}
+	t.link(vi)
+}
+
+// victim picks the slot a new entry fills: the first invalid slot, else the
+// true LRU entry (the smallest timestamp, the first in slot order on a tie).
+func (t *TLB) victim() int {
+	if t.nvalid < len(t.slots) {
+		for i := range t.slots {
+			if !t.slots[i].valid {
+				return i
+			}
+		}
+	}
+	vi := 0
+	for i := 1; i < len(t.slots); i++ {
+		if t.slots[i].used < t.slots[vi].used {
+			vi = i
+		}
+	}
+	return vi
 }
 
 // Range calls fn for every valid entry in slot order (a deterministic
@@ -158,16 +231,13 @@ func (t *TLB) EvictNth(n int) (uint32, bool) {
 		return 0, false
 	}
 	for i := range t.slots {
-		s := &t.slots[i]
-		if !s.valid {
+		if !t.slots[i].valid {
 			continue
 		}
 		if n == 0 {
-			vpn := s.vpn
-			s.valid = false
-			delete(t.index, vpn)
+			t.unlink(i)
 			t.evictions++
-			return vpn, true
+			return t.slots[i].vpn, true
 		}
 		n--
 	}
@@ -181,16 +251,14 @@ func (t *TLB) EvictNth(n int) (uint32, bool) {
 func (t *TLB) FlushRetaining(retain func(vpn uint32) bool) int {
 	kept := 0
 	for i := range t.slots {
-		s := &t.slots[i]
-		if !s.valid {
+		if !t.slots[i].valid {
 			continue
 		}
-		if retain != nil && retain(s.vpn) {
+		if retain != nil && retain(t.slots[i].vpn) {
 			kept++
 			continue
 		}
-		s.valid = false
-		delete(t.index, s.vpn)
+		t.unlink(i)
 	}
 	t.flushes++
 	return kept
@@ -199,23 +267,16 @@ func (t *TLB) FlushRetaining(retain func(vpn uint32) bool) int {
 // Invalidate drops any cached translation for vpn (the invlpg operation
 // targets both TLBs; the machine calls this on each).
 func (t *TLB) Invalidate(vpn uint32) {
-	if i, ok := t.index[vpn]; ok {
-		t.slots[i].valid = false
-		delete(t.index, vpn)
+	if i := t.find(vpn); i >= 0 {
+		t.unlink(i)
 	}
 }
 
 // Flush drops every cached translation (CR3 reload).
-func (t *TLB) Flush() {
-	for i := range t.slots {
-		t.slots[i].valid = false
-	}
-	clear(t.index)
-	t.flushes++
-}
+func (t *TLB) Flush() { t.FlushRetaining(nil) }
 
 // Valid returns the number of valid entries.
-func (t *TLB) Valid() int { return len(t.index) }
+func (t *TLB) Valid() int { return t.nvalid }
 
 // Stats reports hit/miss/eviction/flush counters.
 func (t *TLB) Stats() (hits, misses, evictions, flushes uint64) {
@@ -252,7 +313,8 @@ func (t *TLB) EncodeState(w *snapshot.Writer) {
 }
 
 // DecodeState restores state serialized by EncodeState into a TLB of the
-// same capacity, rebuilding the lookup index.
+// same capacity, rebuilding the hint table and rejecting two valid slots
+// that cache the same vpn.
 func (t *TLB) DecodeState(r *snapshot.Reader) error {
 	if n := r.U32(); int(n) != len(t.slots) {
 		return snapshot.Corruptf("tlb: %d slots, machine has %d", n, len(t.slots))
@@ -262,7 +324,6 @@ func (t *TLB) DecodeState(r *snapshot.Reader) error {
 	t.misses = r.U64()
 	t.evictions = r.U64()
 	t.flushes = r.U64()
-	clear(t.index)
 	for i := range t.slots {
 		s := &t.slots[i]
 		s.valid = r.Bool()
@@ -272,12 +333,22 @@ func (t *TLB) DecodeState(r *snapshot.Reader) error {
 		s.entry.Writable = r.Bool()
 		s.entry.NoExec = r.Bool()
 		s.used = r.U64()
-		if s.valid {
-			if _, dup := t.index[s.vpn]; dup {
-				return snapshot.Corruptf("tlb: duplicate valid vpn %#x", s.vpn)
-			}
-			t.index[s.vpn] = i
+	}
+	clear(t.hint)
+	t.nvalid = 0
+	for i := range t.slots {
+		s := &t.slots[i]
+		if !s.valid {
+			continue
 		}
+		if t.hint[s.vpn&t.mask].n > 0 {
+			for j := range i {
+				if o := &t.slots[j]; o.valid && o.vpn == s.vpn {
+					return snapshot.Corruptf("tlb: duplicate valid vpn %#x", s.vpn)
+				}
+			}
+		}
+		t.link(i)
 	}
 	return r.Err()
 }
@@ -298,5 +369,5 @@ func (t *TLB) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	r.GaugeFunc(prefix+"_flushes_total", "full flushes (CR3 reloads)",
 		func() float64 { return float64(t.flushes) })
 	r.GaugeFunc(prefix+"_valid_entries", "currently valid entries",
-		func() float64 { return float64(len(t.index)) })
+		func() float64 { return float64(t.nvalid) })
 }

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -153,5 +154,46 @@ func TestQuickCapacityInvariant(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHotPathAllocFree: lookups, fills, evictions and flushes touch only
+// the preallocated slot and hint arrays.
+func TestHotPathAllocFree(t *testing.T) {
+	b := New(32)
+	allocs := testing.AllocsPerRun(100, func() {
+		for v := uint32(0); v < 48; v++ {
+			if _, ok := b.Lookup(0x08048 + v); !ok {
+				b.Insert(0x08048+v, Entry{Frame: v, User: true})
+			}
+		}
+		b.Flush()
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup/Insert/Flush cycle allocated %.1f times", allocs)
+	}
+}
+
+var sinkEntry Entry
+
+// BenchmarkTLBLookup times a Lookup that hits (a resident working set) and
+// one that misses (a vpn never inserted, sharing hint cells with resident
+// entries) at the ITLB's 32 and the DTLB's 64 entries.
+func BenchmarkTLBLookup(b *testing.B) {
+	for _, size := range []int{32, 64} {
+		t := New(size)
+		for v := uint32(0); v < uint32(size); v++ {
+			t.Insert(0x08048+v, Entry{Frame: v, User: true})
+		}
+		b.Run(fmt.Sprintf("hit/%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkEntry, _ = t.Lookup(0x08048 + uint32(i)%uint32(size))
+			}
+		})
+		b.Run(fmt.Sprintf("miss/%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkEntry, _ = t.Lookup(0x18048 + uint32(i)%uint32(size))
+			}
+		})
 	}
 }
