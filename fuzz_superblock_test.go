@@ -3,15 +3,17 @@ package splitmem_test
 // FuzzSuperblockInvalidation: differential fuzzing of the superblock
 // engine's invalidation machinery. Each fuzz input deterministically
 // generates an S86 program whose hot loops rewrite their own instruction
-// bytes (imm-byte patches at two different sites, inside and outside the
-// inner loop), optionally under chaos injection (TLB flushes bump the decode
-// epoch, bit flips bump write generations mid-block). The program runs under
-// ProtNone (where self-modification really changes the fetched bytes) and
-// ProtSplit (where stores land in the data twin and the split engine's
-// restriction machinery drives invalidation), each with superblocks on and
-// off — and the two engine arms must retire identical instruction streams,
-// cycles, stats and event logs. Any divergence is a stale compiled block
-// executing bytes the guest already overwrote.
+// bytes (imm-byte patches at three sites: inside and outside the inner
+// loop, and in a callee on the next page that the inner loop calls, so
+// chained blocks both cross pages and follow same-page links), optionally
+// under chaos injection (TLB flushes bump the decode epoch, bit flips bump
+// write generations mid-block). The program runs under ProtNone (where
+// self-modification really changes the fetched bytes) and ProtSplit (where
+// stores land in the data twin and the split engine's restriction
+// machinery drives invalidation), each with superblocks on and off — and
+// the two engine arms must retire identical instruction streams, cycles,
+// stats and event logs. Any divergence is a stale compiled block executing
+// bytes the guest already overwrote.
 
 import (
 	"fmt"
@@ -57,12 +59,11 @@ func sbFuzzProgram(data []byte) string {
 		fmt.Fprintf(&ops, "    %s\n", sbFuzzOps[at(3+i)%len(sbFuzzOps)])
 	}
 	// Patch target: the low imm byte of `site` (mov edx, imm32: imm at
-	// offset 1) or of `body` (add eax, imm32: imm at offset 2). The second
-	// rewrites the hot inner loop itself, forcing a reheat per outer pass.
-	target := "site+1"
-	if at(3+nops)%2 == 1 {
-		target = "body+2"
-	}
+	// offset 1), of `body` or of `far` (add reg, imm32: imm at offset 2).
+	// The second rewrites the hot inner loop itself, forcing a reheat per
+	// outer pass; the third rewrites the cross-page callee the inner loop
+	// chains into and back out of.
+	target := [...]string{"site+1", "body+2", "far+2"}[at(3+nops)%3]
 	return fmt.Sprintf(`
 .section code 0x08048000 rwx
 .entry _start
@@ -73,7 +74,8 @@ outer:
     mov ecx, %d
 body:
     add eax, 17
-%s    sub ecx, 1
+%s    call far
+    sub ecx, 1
     jnz body
     mov ebx, %s
     mov eax, esi
@@ -87,6 +89,10 @@ site:
     mov ebx, edi
     mov eax, 1
     int 0x80
+.align 4096
+far:
+    add ebx, 3
+    ret
 `, outer, inner, ops.String(), target)
 }
 

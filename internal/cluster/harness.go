@@ -26,8 +26,9 @@ type Node struct {
 	cfg   serve.Config
 	front *httptest.Server
 
-	mu  sync.Mutex
-	srv *serve.Server // nil while killed
+	mu   sync.Mutex
+	srv  *serve.Server // nil while killed
+	down chan struct{} // closed once the last killed server has shut down
 }
 
 // newNode boots a replica slot with a live server.
@@ -86,20 +87,34 @@ func (n *Node) Kill() {
 	n.mu.Lock()
 	old := n.srv
 	n.srv = nil
+	var down chan struct{}
+	if old != nil {
+		down = make(chan struct{})
+		n.down = down
+	}
 	n.mu.Unlock()
 	n.front.CloseClientConnections()
 	if old != nil {
 		go func() {
 			old.CancelRunning()
 			old.Close()
+			close(down)
 		}()
 	}
 }
 
 // Restart boots a fresh server (new instance ID, same URL) into the slot,
 // replacing whatever is there. A replaced live server is shut down in the
-// background.
+// background. A killed server's shutdown is awaited first: a crashed
+// process does no more disk I/O, so the new server must not replay the
+// journal while the old one can still append to (or truncate) it.
 func (n *Node) Restart() error {
+	n.mu.Lock()
+	down := n.down
+	n.mu.Unlock()
+	if down != nil {
+		<-down
+	}
 	srv, err := serve.New(n.cfg)
 	if err != nil {
 		return err

@@ -83,3 +83,59 @@ func BenchmarkReSplit(b *testing.B) {
 		reSplit(m, frame)
 	}
 }
+
+// BenchmarkDispatch times compiled-code dispatch per retired instruction,
+// driven the way the scheduler drives it (StepSlice under a 10,000-cycle
+// slice), on three shapes: one long straight-line block looping on itself,
+// a loop of two blocks on one page, and a loop that calls a function on the
+// next page and returns.
+func BenchmarkDispatch(b *testing.B) {
+	alu := []isa.Instr{
+		{Op: isa.OpAddImm, R1: isa.EAX, Imm: 3},
+		{Op: isa.OpXor, R1: isa.EDX, R2: isa.EAX},
+		{Op: isa.OpSubImm, R1: isa.ECX, Imm: 1},
+		{Op: isa.OpMov, R1: isa.ESI, R2: isa.EDX},
+	}
+	var line []isa.Instr
+	for i := 0; i < 8; i++ {
+		line = append(line, alu...)
+	}
+	twoBlocks := func() []byte {
+		first := asmBytes(alu...)
+		j := isa.Instr{Op: isa.OpJmp} // rel32 0: falls into the second block
+		code := isa.Encode(first, j)
+		code = append(code, asmBytes(alu...)...)
+		back := isa.Instr{Op: isa.OpJmp}
+		back.Imm = rel32(codeBase+uint32(len(code)), isa.Len(back), codeBase)
+		return isa.Encode(code, back)
+	}
+	callNear, callFar := callProg()
+	for _, c := range []struct {
+		name      string
+		near, far []byte
+	}{
+		{"straight-line", selfLoop(line...), nil},
+		{"same-page-loop", twoBlocks(), nil},
+		{"cross-page-call", callNear, callFar},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m, _ := newChainMachine(b, true, c.near, c.far)
+			run := func(n uint64) {
+				for end := m.Stats.Instructions + n; m.Stats.Instructions < end; {
+					m.SetSliceEnd(m.Cycles + 10000)
+					for m.Cycles < m.sliceEnd {
+						if m.StepSlice() != StepOK {
+							b.Fatalf("stopped at EIP=%#x", m.Ctx.EIP)
+						}
+					}
+				}
+			}
+			run(100 * sbHotThreshold * 64) // compile every block
+			b.ReportAllocs()
+			b.ResetTimer()
+			i0 := m.Stats.Instructions
+			run(uint64(b.N))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Stats.Instructions-i0), "ns/instr")
+		})
+	}
+}

@@ -221,10 +221,10 @@ type Machine struct {
 
 	// Superblock engine (superblock.go). sbOn gates it; sb is indexed by
 	// physical frame number, allocated lazily like dec.
-	sb       []*sbFrame
-	sbOn     bool
-	sliceEnd uint64 // scheduler's timeslice bound, for in-block side-exits
-	sbPF     *PageFault
+	sb            []*sbFrame
+	sbOn          bool
+	sliceEnd      uint64 // scheduler's timeslice bound, for in-block side-exits
+	sbPF          *PageFault
 	sbDrawDone    bool // the last Step consumed the kernel's preempt draw
 	sbDrawPreempt bool // ... and the draw said to preempt
 }
@@ -344,8 +344,8 @@ func New(cfg Config) (*Machine, error) {
 
 // SetSliceEnd publishes the scheduler's current timeslice bound (in absolute
 // cycles). The superblock engine side-exits a block as soon as the bound is
-// reached, reproducing the kernel's between-Step cycle check; the kernel
-// calls this once per slice. The zero default makes blocks retire at most
+// reached, reproducing the kernel's between-Step cycle check, and StepSlice
+// chains blocks only below it; the kernel calls this once per slice. The zero default makes blocks retire at most
 // one instruction, which keeps raw Step users exact without scheduling.
 func (m *Machine) SetSliceEnd(end uint64) { m.sliceEnd = end }
 

@@ -30,20 +30,34 @@ func (m *Machine) Step() StepResult {
 	if m.Chaos != nil {
 		m.Chaos.PreStep(m)
 	}
-	return m.stepRetire()
+	return m.stepRetire(false)
+}
+
+// StepSlice is Step for the scheduler's timeslice loop, which calls it while
+// Cycles is below the bound it published through SetSliceEnd. A compiled
+// block that completes normally may continue directly into its successor's
+// block (see sbRun) for as long as the loop would do nothing between Steps
+// but check that bound: each continuation has exactly the effects of the
+// Step it replaces. Step itself runs at most one block.
+func (m *Machine) StepSlice() StepResult {
+	if m.Chaos != nil {
+		m.Chaos.PreStep(m)
+	}
+	return m.stepRetire(true)
 }
 
 // stepRetire is Step without the chaos pre-step hook (which must run exactly
 // once per retired instruction: the superblock engine re-invokes this after
-// running the hook itself on an in-block stale bail-out).
-func (m *Machine) stepRetire() StepResult {
+// running the hook itself on an in-block stale bail-out). chain is set for
+// StepSlice.
+func (m *Machine) stepRetire(chain bool) StepResult {
 	saved := m.Ctx
 	pa, pf := m.Translate(m.Ctx.EIP, AccFetch)
 	if pf != nil {
 		return m.raisePF(pf)
 	}
 	if m.sbOn && !m.Ctx.Flags.TF {
-		if res, entered := m.sbExec(pa); entered {
+		if res, entered := m.sbExec(pa, chain); entered {
 			return res
 		}
 	}

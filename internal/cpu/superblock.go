@@ -11,18 +11,29 @@ package cpu
 // counts, TLB hit/miss bookkeeping, trace-hook calls and trap deliveries the
 // interpreter would. The rules that make that true:
 //
-//   - Entry only happens on a fetch whose full Translate already succeeded,
-//     so ITLB fills, walk costs and fetch faults at the block boundary are
-//     the interpreter's own. In-block fetches of the same page replay the
-//     ITLB hit bookkeeping (tlb.TouchSlot); repeated hits on one entry leave
-//     every other entry's relative LRU order unchanged, so TLB state stays
-//     bit-identical. Under chaos injection (which can evict any entry at any
-//     instruction) in-block fetches fall back to the full Translate.
+//   - A block is entered in one of two ways. From Step, only after the full
+//     Translate of EIP succeeded, so ITLB fills, walk costs and fetch faults
+//     at the block boundary are the interpreter's own. Or chained, from the
+//     end of the previous block (StepSlice only, see sbRun): only when the
+//     next Step would do nothing but hit the ITLB and enter an already
+//     compiled block. Chaining replays exactly that one ITLB hit and never
+//     fills the ITLB, heats an entry point or compiles a block, so split-
+//     memory detection (the ITLB-miss #PF) and every counter are unchanged.
+//   - In-block fetches of the same page replay the ITLB hit bookkeeping.
+//     Repeated hits on one entry leave every other entry's relative LRU
+//     order unchanged, so they are batched (tlb.TouchSlotN) and flushed
+//     before any handler, trace-hook call, change of page or exit; TLB state
+//     stays bit-identical. Under chaos injection (which can evict any entry
+//     at any instruction) in-block fetches fall back to the full Translate,
+//     and blocks never chain.
 //   - A block never contains a trapping instruction (int/int3/hlt), an
 //     undefined encoding, or a frame-crossing instruction; those always go
 //     through the interpreter. Branches terminate a block (side-exit).
 //   - Any handler invocation — page fault, divide error, injected #DB —
 //     ends the block after delivery, exactly where Step would have returned.
+//     Compiled ops write no register, flag or EIP until their last data
+//     access has succeeded, so a faulting op leaves the context untouched
+//     for the restart without a saved copy.
 //   - Coherence reuses the predecode cache's stamps: a block is valid only
 //     while its frame's write generation (mem.Physical.Gen) and the decode
 //     epoch (bumped on TLB flush/invlpg) both match compile time, and only
@@ -30,12 +41,19 @@ package cpu
 //     re-restrictions). Restricted pages therefore never execute from a
 //     stale block: re-restriction empties the frame's blocks and heat in
 //     place before the guest can fetch again, so hotness is re-proven
-//     without reallocating the frame's state.
+//     without reallocating the frame's state. A block caches up to two
+//     same-page successors as links; each link records the frame's version,
+//     which every emptying bumps, so no link survives a drop. Cross-page
+//     successors are looked up through the ITLB every time, so an entry the
+//     split engine re-points to another frame is followed to that frame.
 //   - The kernel's between-instruction scheduling contract is preserved:
 //     the block checks the published timeslice bound (SetSliceEnd) and
 //     consumes the chaos forced-preemption draw (Machine.Preempt) between
 //     in-block instructions, in the same order RunContext checks them
 //     between Steps, handing the verdict back through TakePreemptDraw.
+//     A block records its worst-case cycle charge; when it fits before the
+//     bound and there is no chaos agent, preemption draw or trace hook,
+//     none of those checks can fire, and the block runs without them.
 //
 // Compiled blocks are host state: Snapshot deliberately drops them (a
 // restored machine re-proves hotness and recompiles), and the only Stats
@@ -71,14 +89,14 @@ const (
 	// sbEnd: retired; EIP set to a (possibly off-block) branch target or the
 	// block's fall-through — the block is complete.
 	sbEnd
+	// The signals below end the block through a handler; they sort last.
+
 	// sbFault: a data access faulted. m.sbPF holds the fault; the dispatch
-	// loop restores the pre-instruction context and delivers it.
+	// loop delivers it.
 	sbFault
-	// sbStop: a trap handler returned ActStop (divide error path).
-	sbStop
-	// sbTrap: a trap handler returned ActResume with EIP still at the
-	// instruction (divide error restart) — side-exit.
-	sbTrap
+	// sbDivide: a divide by zero. EIP is still at the instruction; the
+	// dispatch loop delivers the divide error.
+	sbDivide
 )
 
 // sbOp is one compiled instruction: its decoding (for the trace hook and
@@ -95,6 +113,19 @@ type sbOp struct {
 // superblock is a compiled straight-line region within one physical frame.
 type superblock struct {
 	ops []sbOp
+	// maxCost bounds the cycles the ops can charge: Instr each, plus
+	// MemAccess and four TLB walks (a page-crossing access translates each
+	// byte) per data access. The cost model is fixed at New.
+	maxCost uint64
+	links   [2]sbLink // same-page successors, most recent first
+}
+
+// sbLink caches the block compiled at byte offset off of the frame the
+// linking block lives in. It is valid while the frame's version is ver.
+type sbLink struct {
+	to  *superblock
+	off uint32
+	ver uint64
 }
 
 // sbFrame holds the superblock state of one physical frame, guarded by the
@@ -105,16 +136,18 @@ type sbFrame struct {
 	blocks []*superblock
 	wgen   uint64 // mem.Physical.Gen at stamp time
 	egen   uint64 // Machine.decEpoch at stamp time
+	ver    uint64 // bumped by every empty; invalidates links
 	state  pageTable
 }
 
-// empty discards the frame's heat and blocks in place. Hotness is
+// empty discards the frame's heat, blocks and links in place. Hotness is
 // deliberately re-proven after invalidation: rapidly self-modifying code
 // then pays at most one compile per sbHotThreshold executions.
 func (s *sbFrame) empty() {
 	clear(s.blocks) // release the discarded closures to the GC
 	s.blocks = s.blocks[:0]
 	s.state.reset()
+	s.ver++
 }
 
 // reset empties the frame and restamps it.
@@ -123,10 +156,24 @@ func (s *sbFrame) reset(wgen, egen uint64) {
 	s.wgen, s.egen = wgen, egen
 }
 
+// current reports whether the frame's stamps still match frame f.
+func (s *sbFrame) current(m *Machine, f uint32) bool {
+	return s.wgen == m.Phys.Gen(f) && s.egen == m.decEpoch
+}
+
+// compiled returns the block compiled at entry offset off, or nil.
+func (s *sbFrame) compiled(off uint32) *superblock {
+	if st := s.state.get(off); st != sbNoCompile && st&sbCompiled != 0 {
+		return s.blocks[st&^sbCompiled]
+	}
+	return nil
+}
+
 // sbExec is the superblock entry gate, called from stepRetire after the
 // fetch Translate of EIP succeeded with physical address pa. It reports
 // whether a block ran (entered=false sends the caller to the interpreter).
-func (m *Machine) sbExec(pa uint32) (res StepResult, entered bool) {
+// chain lets the run continue into successor blocks (see sbRun).
+func (m *Machine) sbExec(pa uint32, chain bool) (res StepResult, entered bool) {
 	f := pa >> mem.PageShift
 	if m.sb == nil {
 		m.sb = make([]*sbFrame, m.Phys.NumFrames())
@@ -135,16 +182,15 @@ func (m *Machine) sbExec(pa uint32) (res StepResult, entered bool) {
 		return 0, false
 	}
 	sbf := m.sb[f]
-	wgen := m.Phys.Gen(f)
 	switch {
 	case sbf == nil:
-		sbf = &sbFrame{wgen: wgen, egen: m.decEpoch}
+		sbf = &sbFrame{wgen: m.Phys.Gen(f), egen: m.decEpoch}
 		m.sb[f] = sbf
-	case sbf.wgen != wgen || sbf.egen != m.decEpoch:
+	case !sbf.current(m, f):
 		if len(sbf.blocks) > 0 {
 			m.Stats.SuperblockInvalidations++
 		}
-		sbf.reset(wgen, m.decEpoch)
+		sbf.reset(m.Phys.Gen(f), m.decEpoch)
 	}
 	off := pa & mem.PageMask
 	var blk *superblock
@@ -167,13 +213,21 @@ func (m *Machine) sbExec(pa uint32) (res StepResult, entered bool) {
 		m.Stats.SuperblockCompiled++
 	}
 	m.Stats.SuperblockEntered++
-	return m.sbRun(blk, sbf, f), true
+	return m.sbRun(blk, sbf, f, chain), true
 }
 
 // sbRun executes a compiled block. The caller has already performed the
 // architectural fetch Translate (and, when chaos is installed, the PreStep
 // hook) for the first instruction.
-func (m *Machine) sbRun(b *superblock, sbf *sbFrame, f uint32) StepResult {
+//
+// With chain set (StepSlice: the scheduler's slice loop), a block that
+// completes normally continues into its successor's block while the
+// scheduler would do nothing but Step again: the cycle count is below the
+// slice bound, no chaos agent or preemption draw is installed, and the
+// successor's fetch is an ITLB hit that passes the fetch permission checks
+// and lands on a current, already compiled entry point. Each continuation
+// counts one SuperblockEntered and replays one ITLB hit, as that Step would.
+func (m *Machine) sbRun(b *superblock, sbf *sbFrame, f uint32, chain bool) StepResult {
 	m.sbDrawDone, m.sbDrawPreempt = false, false
 	base := m.Ctx.EIP &^ uint32(mem.PageMask)
 	chaotic := m.Chaos != nil
@@ -183,115 +237,196 @@ func (m *Machine) sbRun(b *superblock, sbf *sbFrame, f uint32) StepResult {
 			slot = s
 		}
 	}
-	ops := b.ops
-	last := len(ops) - 1
-	for i := 0; ; i++ {
-		op := &ops[i]
-		if i > 0 {
-			if chaotic {
-				// Replicate Step's preamble for this instruction: the chaos
-				// hook may evict TLB entries, flush (bumping the epoch) or
-				// flip bits (bumping the write generation), so the stamps
-				// are re-validated before trusting the compiled ops.
-				m.Chaos.PreStep(m)
-				if sbf.wgen != m.Phys.Gen(f) || sbf.egen != m.decEpoch {
-					m.Stats.SuperblockSideExits++
-					return m.stepRetire() // PreStep already ran; decode fresh bytes
-				}
-				pa, pf := m.Translate(base|op.off, AccFetch)
-				if pf != nil {
+	chain = chain && slot >= 0 && !chaotic && m.Preempt == nil
+	hits := 0 // same-page fetch hits on slot not yet replayed
+	for {
+		// Decide which between-instruction checks this block needs: with
+		// room for its worst-case charge before the slice bound and no
+		// chaos, preemption draw or trace hook, none of them can fire.
+		checked := slot < 0 || chaotic || m.Preempt != nil || m.TraceHook != nil ||
+			m.Cycles+b.maxCost >= m.sliceEnd
+		ops, last := b.ops, len(b.ops)-1
+		for i := 0; ; i++ {
+			op := &ops[i]
+			if i > 0 {
+				if slot >= 0 {
+					hits++
+				} else if chaotic {
+					// Replicate Step's preamble for this instruction: the
+					// chaos hook may evict TLB entries, flush (bumping the
+					// epoch) or flip bits (bumping the write generation), so
+					// the stamps are re-validated before trusting the
+					// compiled ops.
+					m.Chaos.PreStep(m)
+					if !sbf.current(m, f) {
+						m.Stats.SuperblockSideExits++
+						return m.stepRetire(false) // PreStep already ran; decode fresh bytes
+					}
+					pa, pf := m.Translate(base|op.off, AccFetch)
+					if pf != nil {
+						m.Stats.SuperblockSideExits++
+						return m.raisePF(pf)
+					}
+					if pa>>mem.PageShift != f {
+						// The walk resolved to a different frame (a stale
+						// TLB entry healed): the compiled bytes are not the
+						// fetched bytes. Retire through the interpreter.
+						m.Stats.SuperblockSideExits++
+						return m.stepAt(pa, m.Ctx, false)
+					}
+				} else if _, pf := m.Translate(base|op.off, AccFetch); pf != nil {
 					m.Stats.SuperblockSideExits++
 					return m.raisePF(pf)
 				}
-				if pa>>mem.PageShift != f {
-					// The walk resolved to a different frame (a stale TLB
-					// entry healed): the compiled bytes are not the fetched
-					// bytes. Retire through the interpreter.
-					m.Stats.SuperblockSideExits++
-					return m.stepAt(pa, m.Ctx, false)
-				}
-			} else if slot >= 0 {
-				m.ITLB.TouchSlot(slot)
-			} else {
-				if _, pf := m.Translate(base|op.off, AccFetch); pf != nil {
-					m.Stats.SuperblockSideExits++
+			}
+
+			// Retire, exactly as Step does: cost and count before execution
+			// so a faulting attempt is charged and traced, then restarted.
+			m.Cycles += m.Cost.Instr
+			m.Stats.Instructions++
+			if checked && m.TraceHook != nil {
+				m.ITLB.TouchSlotN(slot, hits)
+				hits = 0
+				m.TraceHook(base|op.off, op.in)
+			}
+			sig := op.exec(m, base)
+			if sig >= sbFault {
+				m.ITLB.TouchSlotN(slot, hits)
+				m.Stats.SuperblockSideExits++
+				if sig == sbFault {
+					pf := m.sbPF
+					m.sbPF = nil
 					return m.raisePF(pf)
 				}
+				if m.divideError() == ActStop {
+					return StepStopped
+				}
+				// The divide restarts; a resumed trap still reaches the
+				// post-retire trap point, as in the interpreter.
+				if chaotic && m.Chaos.SpuriousDebugTrap() && m.raiseDB() == ActStop {
+					return StepStopped
+				}
+				return StepOK
 			}
-		}
 
-		// Retire, exactly as Step does: cost and count before execution so a
-		// faulting attempt is charged and traced, then restarted.
-		m.Cycles += m.Cost.Instr
-		m.Stats.Instructions++
-		if m.TraceHook != nil {
-			m.TraceHook(base|op.off, op.in)
-		}
-		var saved Context
-		if op.canFault {
-			saved = m.Ctx
-		}
-		sig := op.exec(m, base)
-		if sig == sbFault {
-			pf := m.sbPF
-			m.sbPF = nil
-			m.Ctx = saved
-			m.Stats.SuperblockSideExits++
-			return m.raisePF(pf)
-		}
-		if sig == sbStop {
-			m.Stats.SuperblockSideExits++
-			return StepStopped
-		}
-
-		// Post-retire trap point. TF cannot be set mid-block (no block op
-		// writes it; the handlers that do always end the block), so the only
-		// source here is the injected spurious #DB.
-		if chaotic && m.Chaos.SpuriousDebugTrap() {
-			m.Stats.SuperblockSideExits++
-			if m.raiseDB() == ActStop {
-				return StepStopped
+			// Post-retire trap point. TF cannot be set mid-block (no block op
+			// writes it; the handlers that do always end the block), so the
+			// only source here is the injected spurious #DB.
+			if chaotic && m.Chaos.SpuriousDebugTrap() {
+				m.Stats.SuperblockSideExits++
+				if m.raiseDB() == ActStop {
+					return StepStopped
+				}
+				return StepOK
 			}
-			return StepOK
-		}
-		if sig == sbTrap {
-			m.Stats.SuperblockSideExits++
-			return StepOK
-		}
-		if sig == sbEnd || i == last {
-			// Normal completion: terminal branch or the block's end.
-			return StepOK
-		}
+			if sig == sbEnd || i == last {
+				break // normal completion: terminal branch or the block's end
+			}
 
-		// Without chaos the only in-block writer is the guest itself:
-		// re-validate the write generation after any op that stored, so a
-		// self-modifying write can never let a stale op execute.
-		if !chaotic && op.writes && sbf.wgen != m.Phys.Gen(f) {
-			m.Stats.SuperblockSideExits++
-			return StepOK
-		}
-
-		// The kernel's between-Step sequence, replayed between in-block
-		// instructions in the same order RunContext checks it: the forced-
-		// preemption draw first, then the timeslice bound. Exits that
-		// consumed the draw report it through TakePreemptDraw so the kernel
-		// does not draw a second time for this instruction.
-		if m.Preempt != nil {
-			if m.Preempt() {
-				m.sbDrawDone, m.sbDrawPreempt = true, true
+			// Without chaos the only in-block writer is the guest itself:
+			// re-validate the write generation after any op that stored, so
+			// a self-modifying write can never let a stale op execute.
+			if !chaotic && op.writes && sbf.wgen != m.Phys.Gen(f) {
+				m.ITLB.TouchSlotN(slot, hits)
 				m.Stats.SuperblockSideExits++
 				return StepOK
 			}
-			if m.Cycles >= m.sliceEnd {
-				m.sbDrawDone = true
-				m.Stats.SuperblockSideExits++
-				return StepOK
+
+			// The kernel's between-Step sequence, replayed between in-block
+			// instructions in the same order RunContext checks it: the
+			// forced-preemption draw first, then the timeslice bound. Exits
+			// that consumed the draw report it through TakePreemptDraw so
+			// the kernel does not draw a second time for this instruction.
+			if checked {
+				m.ITLB.TouchSlotN(slot, hits)
+				hits = 0
+				if m.Preempt != nil {
+					if m.Preempt() {
+						m.sbDrawDone, m.sbDrawPreempt = true, true
+						m.Stats.SuperblockSideExits++
+						return StepOK
+					}
+					if m.Cycles >= m.sliceEnd {
+						m.sbDrawDone = true
+						m.Stats.SuperblockSideExits++
+						return StepOK
+					}
+				} else if m.Cycles >= m.sliceEnd {
+					m.Stats.SuperblockSideExits++
+					return StepOK
+				}
 			}
-		} else if m.Cycles >= m.sliceEnd {
-			m.Stats.SuperblockSideExits++
+		}
+
+		// b completed normally. Chain into the block the next Step would
+		// enter, or return to the scheduler.
+		var next *superblock
+		if chain && m.Cycles < m.sliceEnd {
+			eip := m.Ctx.EIP
+			if eip&^uint32(mem.PageMask) == base {
+				// Same page: the same ITLB entry, so the same frame.
+				if next = m.sbLinked(b, sbf, f, eip&mem.PageMask); next != nil {
+					hits++
+				}
+			} else if nb, nsbf, nf, ns := m.sbProbe(eip); nb != nil {
+				m.ITLB.TouchSlotN(slot, hits)
+				next, sbf, f, slot, hits = nb, nsbf, nf, ns, 1
+				base = eip &^ uint32(mem.PageMask)
+			}
+		}
+		if next == nil {
+			m.ITLB.TouchSlotN(slot, hits)
 			return StepOK
+		}
+		m.Stats.SuperblockEntered++
+		b = next
+	}
+}
+
+// sbLinked returns the block compiled at offset off of frame f, the frame
+// of block b, following b's links first and linking the block it finds. It
+// returns nil when the frame's stamps are stale (the next Step restamps
+// it) or no block is compiled there yet (the next Step heats the entry).
+func (m *Machine) sbLinked(b *superblock, sbf *sbFrame, f, off uint32) *superblock {
+	if !sbf.current(m, f) {
+		return nil
+	}
+	for i := range b.links {
+		if l := &b.links[i]; l.to != nil && l.off == off && l.ver == sbf.ver {
+			return l.to
 		}
 	}
+	next := sbf.compiled(off)
+	if next != nil {
+		b.links[1] = b.links[0]
+		b.links[0] = sbLink{to: next, off: off, ver: sbf.ver}
+	}
+	return next
+}
+
+// sbProbe finds the block a fetch of eip on another page would enter,
+// resolving eip the way Translate's hit path does but touching no LRU state
+// or statistics. It returns nil unless the fetch would hit the ITLB (slot),
+// pass the fetch permission checks, and land on a current, already compiled
+// entry point.
+func (m *Machine) sbProbe(eip uint32) (*superblock, *sbFrame, uint32, int) {
+	slot, ok := m.ITLB.Slot(eip >> mem.PageShift)
+	if !ok {
+		return nil, nil, 0, 0
+	}
+	e := m.ITLB.SlotEntry(slot)
+	if !e.User || e.NoExec && m.NXEnabled {
+		return nil, nil, 0, 0 // the fetch faults
+	}
+	f := e.Frame
+	if int(f) >= len(m.sb) {
+		return nil, nil, 0, 0
+	}
+	sbf := m.sb[f]
+	if sbf == nil || !sbf.current(m, f) {
+		return nil, nil, 0, 0
+	}
+	return sbf.compiled(eip & mem.PageMask), sbf, f, slot
 }
 
 // sbCompile decodes the straight-line region starting at byte offset off of
@@ -336,7 +471,14 @@ func (m *Machine) sbCompile(f, off uint32) *superblock {
 	if len(ops) == 0 {
 		return nil
 	}
-	return &superblock{ops: ops}
+	b := &superblock{ops: ops}
+	for i := range ops {
+		b.maxCost += m.Cost.Instr
+		if ops[i].canFault {
+			b.maxCost += m.Cost.MemAccess + 4*m.Cost.TLBWalk
+		}
+	}
+	return b
 }
 
 // sbCompileOp pre-binds one decoded instruction into a closure. The closure
@@ -461,10 +603,7 @@ func sbCompileOp(in isa.Instr, off uint32) (op sbOp, ok bool) {
 	case isa.OpDiv:
 		op.exec = func(m *Machine, base uint32) sbSig {
 			if m.Ctx.R[r2] == 0 {
-				if m.divideError() == ActStop {
-					return sbStop
-				}
-				return sbTrap // EIP still at the instruction: restart
+				return sbDivide
 			}
 			m.Ctx.R[r1] = m.logicFlags(m.Ctx.R[r1] / m.Ctx.R[r2])
 			m.Ctx.EIP = base + next
@@ -473,10 +612,7 @@ func sbCompileOp(in isa.Instr, off uint32) (op sbOp, ok bool) {
 	case isa.OpMod:
 		op.exec = func(m *Machine, base uint32) sbSig {
 			if m.Ctx.R[r2] == 0 {
-				if m.divideError() == ActStop {
-					return sbStop
-				}
-				return sbTrap
+				return sbDivide
 			}
 			m.Ctx.R[r1] = m.logicFlags(m.Ctx.R[r1] % m.Ctx.R[r2])
 			m.Ctx.EIP = base + next

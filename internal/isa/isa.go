@@ -113,7 +113,8 @@ const (
 type form int
 
 const (
-	formNone    form = iota // op
+	formUndef   form = iota // not a defined first byte
+	formNone                // op
 	formRR                  // op r1 r2
 	formRI                  // op r1 imm32
 	formRI8                 // op r1 imm8
@@ -124,7 +125,10 @@ const (
 	formImm8                // op imm8
 )
 
-var opForms = map[Op]form{
+// opForms and opNames are indexed by first byte; decode misses read them
+// for every instruction. The register-in-opcode families are handled
+// before opForms is consulted.
+var opForms = [256]form{
 	OpAdd: formRR, OpOr: formRR, OpAnd: formRR, OpSub: formRR,
 	OpXor: formRR, OpCmp: formRR, OpMov: formRR, OpMul: formRR,
 	OpDiv: formRR, OpMod: formRR,
@@ -149,7 +153,7 @@ var opForms = map[Op]form{
 	OpUndef: formNone,
 }
 
-var opNames = map[Op]string{
+var opNames = [256]string{
 	OpAdd: "add", OpOr: "or", OpAnd: "and", OpSub: "sub", OpXor: "xor",
 	OpCmp: "cmp", OpMov: "mov", OpMul: "mul", OpDiv: "div", OpMod: "mod",
 	OpAddImm: "add", OpOrImm: "or", OpAndImm: "and", OpSubImm: "sub",
@@ -168,7 +172,7 @@ var opNames = map[Op]string{
 
 // Name returns the mnemonic for op.
 func (o Op) Name() string {
-	if n, ok := opNames[o]; ok {
+	if n := opNames[o]; n != "" {
 		return n
 	}
 	return fmt.Sprintf("op%02x", byte(o))
@@ -215,8 +219,8 @@ func Decode(b []byte) (Instr, error) {
 		return Instr{Op: OpPop, R1: op - byte(OpPop), Size: 1}, nil
 	}
 
-	f, ok := opForms[Op(op)]
-	if !ok {
+	f := opForms[op]
+	if f == formUndef {
 		return Instr{Op: Op(op), Size: 1}, ErrUndefined
 	}
 	in := Instr{Op: Op(op)}
@@ -347,11 +351,7 @@ func EncLen(first byte) (int, bool) {
 	case first >= byte(OpPush) && first < byte(OpPop)+NumRegs:
 		return 1, true
 	}
-	f, ok := opForms[Op(first)]
-	if !ok {
-		return 1, false
-	}
-	switch f {
+	switch opForms[first] {
 	case formNone:
 		return 1, Op(first) != OpUndef && Op(first) != OpInvalid
 	case formRR, formRI8:

@@ -66,18 +66,18 @@ type EventKind int
 
 // Kernel events.
 const (
-	EvProcessStart      EventKind = iota + 1
-	EvProcessExit                 // Text: exit status; Addr: status
-	EvSignal                      // process killed by signal (Addr: faulting address)
-	EvInjectionDetected           // protection engine caught injected-code execution
-	EvInjectionObserved           // observe mode let the attack continue
-	EvForensicDump                // forensics mode dumped shellcode (Data: bytes at EIP)
-	EvShellSpawned                // a process invoked execve (attack success marker)
-	EvSebekLine                   // Sebek-style keystroke log line (Text)
-	EvSyscall                     // verbose; only recorded when TraceSyscalls is set
-	EvLibraryLoad                 // validated library load/split
-	EvInvariantViolation          // paranoid auditor found an engine-state inconsistency (Text)
-	EvMachineCheck                // contained host-level fault (mem misuse, recovered panic) (Text)
+	EvProcessStart       EventKind = iota + 1
+	EvProcessExit                  // Text: exit status; Addr: status
+	EvSignal                       // process killed by signal (Addr: faulting address)
+	EvInjectionDetected            // protection engine caught injected-code execution
+	EvInjectionObserved            // observe mode let the attack continue
+	EvForensicDump                 // forensics mode dumped shellcode (Data: bytes at EIP)
+	EvShellSpawned                 // a process invoked execve (attack success marker)
+	EvSebekLine                    // Sebek-style keystroke log line (Text)
+	EvSyscall                      // verbose; only recorded when TraceSyscalls is set
+	EvLibraryLoad                  // validated library load/split
+	EvInvariantViolation           // paranoid auditor found an engine-state inconsistency (Text)
+	EvMachineCheck                 // contained host-level fault (mem misuse, recovered panic) (Text)
 )
 
 // String names the event kind.

@@ -114,10 +114,11 @@ func (k *Kernel) RunContext(ctx context.Context, maxCycles uint64) (res RunResul
 			sliceEnd = deadline
 		}
 		// Publish the bound so the superblock engine can side-exit compiled
-		// blocks at exactly the cycle this loop would stop stepping.
+		// blocks at exactly the cycle this loop would stop stepping, and
+		// chain blocks while it would only keep stepping.
 		k.m.SetSliceEnd(sliceEnd)
 		for p.state == stateRunnable && k.m.Cycles < sliceEnd {
-			if k.m.Step() == cpu.StepStopped {
+			if k.m.StepSlice() == cpu.StepStopped {
 				break
 			}
 			// Chaos: forced timeslice expiry, checked only after the process

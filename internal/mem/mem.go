@@ -737,7 +737,6 @@ func SkipMeta(r *snapshot.Reader) error {
 	return r.Err()
 }
 
-
 func frameNonzero(b []byte) bool {
 	for _, v := range b {
 		if v != 0 {

@@ -85,12 +85,12 @@ type JobRequest struct {
 	CRT    bool   `json:"crt,omitempty"`    // append the guest C runtime to Source
 	Binary []byte `json:"binary,omitempty"` // base64 SELF image
 
-	Stdin      []byte `json:"stdin,omitempty"`      // base64 bytes for the guest's fd 0
-	StdinText  string `json:"stdin_text,omitempty"` // convenience alternative for text input
-	KeepStdin  bool   `json:"keep_stdin,omitempty"` // do NOT signal EOF after the initial input
-	Config     JobConfig `json:"config"`
-	MaxCycles  uint64 `json:"max_cycles,omitempty"` // simulated-cycle budget (0 = server default)
-	TimeoutMS  int64  `json:"timeout_ms,omitempty"` // wall-clock limit (0 = server default)
+	Stdin     []byte    `json:"stdin,omitempty"`      // base64 bytes for the guest's fd 0
+	StdinText string    `json:"stdin_text,omitempty"` // convenience alternative for text input
+	KeepStdin bool      `json:"keep_stdin,omitempty"` // do NOT signal EOF after the initial input
+	Config    JobConfig `json:"config"`
+	MaxCycles uint64    `json:"max_cycles,omitempty"` // simulated-cycle budget (0 = server default)
+	TimeoutMS int64     `json:"timeout_ms,omitempty"` // wall-clock limit (0 = server default)
 }
 
 // ResumeRequest is a migration submission: the original job body plus the

@@ -176,8 +176,8 @@ type traceEvent struct {
 }
 
 type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+	TraceEvents     []traceEvent      `json:"traceEvents"`
+	DisplayTimeUnit string            `json:"displayTimeUnit"`
 	OtherData       map[string]string `json:"otherData,omitempty"`
 }
 
@@ -239,12 +239,12 @@ func (b *SpanBuffer) WriteTraceEvents(w io.Writer, procNames map[int]string) err
 
 	for _, s := range spans {
 		ev := traceEvent{
-			Name:  s.Name,
-			TS:    s.Start,
-			PID:   s.PID,
-			TID:   s.VPN,
-			Cat:   "splitmem",
-			Args:  map[string]any{"seq": s.Seq},
+			Name: s.Name,
+			TS:   s.Start,
+			PID:  s.PID,
+			TID:  s.VPN,
+			Cat:  "splitmem",
+			Args: map[string]any{"seq": s.Seq},
 		}
 		if s.Parent != 0 {
 			ev.Args["parent"] = s.Parent

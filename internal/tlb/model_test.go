@@ -63,7 +63,7 @@ const (
 var opMix = [...]int{
 	opLookup, opLookup, opLookup, opLookup, opLookup, opLookup,
 	opInsert, opInsert, opInsert, opInsert, opInsert, opInsert,
-	opInvalidate, opSlot, opSlot, opProbe, opEvictNth,
+	opInvalidate, opSlot, opSlot, opSlot, opSlot, opProbe, opEvictNth,
 }
 
 func modelOp(b byte) int {
@@ -133,14 +133,20 @@ func FuzzTLBModel(f *testing.F) {
 					t.Fatalf("op %d EvictNth(%d) = %#x,%v want %#x,%v", p, n, gv, gok, wv, wok)
 				}
 			case opSlot:
+				// Slot and SlotEntry, then a batched replay of 0-4 hits
+				// against that many single touches of the reference.
 				gi, gok := got.Slot(vpn)
 				wi, wok := want.Slot(vpn)
 				if gi != wi || gok != wok {
 					t.Fatalf("op %d Slot(%#x) = %d,%v want %d,%v", p, vpn, gi, gok, wi, wok)
 				}
 				if gok {
-					for j := 0; j <= int(arg)%3; j++ {
-						got.TouchSlot(gi)
+					if ge, we := got.SlotEntry(gi), want.slots[wi].entry; ge != we {
+						t.Fatalf("op %d SlotEntry(%d) = %+v want %+v", p, gi, ge, we)
+					}
+					n := int(arg) % 5
+					got.TouchSlotN(gi, n)
+					for j := 0; j < n; j++ {
 						want.TouchSlot(wi)
 					}
 				}

@@ -138,8 +138,9 @@ func (t *TLB) Lookup(vpn uint32) (Entry, bool) {
 
 // Slot returns the index of the slot currently caching vpn without touching
 // LRU state or statistics. It is the superblock engine's entry-pinning port:
-// the engine resolves the slot once per block entry (whose Lookup already
-// ran) and replays per-instruction hits through TouchSlot.
+// the engine resolves the slot once per page it runs on (whose Lookup
+// already ran, or whose hit it replays) and replays per-instruction hits
+// through TouchSlotN.
 func (t *TLB) Slot(vpn uint32) (int, bool) {
 	if i := t.find(vpn); i >= 0 {
 		return i, true
@@ -147,17 +148,24 @@ func (t *TLB) Slot(vpn uint32) (int, bool) {
 	return 0, false
 }
 
-// TouchSlot replays the architectural bookkeeping of a Lookup hit on slot i:
-// the LRU tick advances, the slot becomes most-recently-used, and the hit
-// counter increments. Repeated touches of one entry leave every other
-// entry's relative LRU order unchanged, so N touches produce TLB state
-// bit-identical to N Lookups of the same vpn.
-func (t *TLB) TouchSlot(i int) {
+// TouchSlotN replays the architectural bookkeeping of n Lookup hits on slot
+// i: the LRU tick advances by n, the slot becomes most-recently-used, and
+// the hit counter grows by n. Repeated hits on one entry leave every other
+// entry's relative LRU order unchanged, so the TLB state is bit-identical to
+// n Lookups of the slot's vpn; n <= 0 changes nothing.
+func (t *TLB) TouchSlotN(i, n int) {
+	if n <= 0 {
+		return
+	}
 	s := &t.slots[i]
-	t.tick++
+	t.tick += uint64(n)
 	s.used = t.tick
-	t.hits++
+	t.hits += uint64(n)
 }
+
+// SlotEntry returns the translation cached in slot i, as found by Slot,
+// without touching LRU state or statistics.
+func (t *TLB) SlotEntry(i int) Entry { return t.slots[i].entry }
 
 // Probe is like Lookup but does not update LRU state or statistics. It is a
 // test/introspection helper (real hardware has no such port; the kernel

@@ -93,15 +93,15 @@ func traceHash(h uint64, eip uint32, in isa.Instr) uint64 {
 
 // workloadDigest is everything architecturally observable about one run.
 type workloadDigest struct {
-	trace      uint64
-	retired    uint64
-	cycles     uint64
-	reason     splitmem.StopReason
-	exited     bool
-	status     int
-	stats  splitmem.Stats
-	events []byte
-	raw    splitmem.Stats // unscrubbed; not compared, proves arm vacuity
+	trace   uint64
+	retired uint64
+	cycles  uint64
+	reason  splitmem.StopReason
+	exited  bool
+	status  int
+	stats   splitmem.Stats
+	events  []byte
+	raw     splitmem.Stats // unscrubbed; not compared, proves arm vacuity
 }
 
 func runWorkload(t *testing.T, prog workloads.Program, cfg splitmem.Config) workloadDigest {

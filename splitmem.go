@@ -93,13 +93,13 @@ const (
 	Recovery = core.Recovery
 
 	// Event kinds.
-	EvProcessStart      = kernel.EvProcessStart
-	EvProcessExit       = kernel.EvProcessExit
-	EvSignal            = kernel.EvSignal
-	EvInjectionDetected = kernel.EvInjectionDetected
-	EvInjectionObserved = kernel.EvInjectionObserved
-	EvForensicDump      = kernel.EvForensicDump
-	EvShellSpawned      = kernel.EvShellSpawned
+	EvProcessStart       = kernel.EvProcessStart
+	EvProcessExit        = kernel.EvProcessExit
+	EvSignal             = kernel.EvSignal
+	EvInjectionDetected  = kernel.EvInjectionDetected
+	EvInjectionObserved  = kernel.EvInjectionObserved
+	EvForensicDump       = kernel.EvForensicDump
+	EvShellSpawned       = kernel.EvShellSpawned
 	EvSebekLine          = kernel.EvSebekLine
 	EvLibraryLoad        = kernel.EvLibraryLoad
 	EvInvariantViolation = kernel.EvInvariantViolation
@@ -450,15 +450,15 @@ func (m *Machine) EventsJSONL() ([]byte, error) { return kernel.EventsJSONL(m.ke
 
 // Stats aggregates machine, TLB, and protection-engine statistics.
 type Stats struct {
-	Cycles       uint64
-	Instructions uint64
-	PageFaults   uint64
-	DebugTraps   uint64
-	CtxSwitches  uint64
-	ITLBHits     uint64
-	ITLBMisses   uint64
-	DTLBHits     uint64
-	DTLBMisses   uint64
+	Cycles         uint64
+	Instructions   uint64
+	PageFaults     uint64
+	DebugTraps     uint64
+	CtxSwitches    uint64
+	ITLBHits       uint64
+	ITLBMisses     uint64
+	DTLBHits       uint64
+	DTLBMisses     uint64
 	Syscalls       uint64
 	KernelFaults   uint64     // demand-paging + copy-on-write faults
 	SpuriousFaults uint64     // benign refaults absorbed (stale TLB, double delivery)
