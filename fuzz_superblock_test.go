@@ -5,7 +5,7 @@ package splitmem_test
 // generates an S86 program whose hot loops rewrite their own instruction
 // bytes (imm-byte patches at three sites: inside and outside the inner
 // loop, and in a callee on the next page that the inner loop calls, so
-// chained blocks both cross pages and follow same-page links), optionally
+// chained blocks both cross pages and stay on one), optionally
 // under chaos injection (TLB flushes bump the decode epoch, bit flips bump
 // write generations mid-block). The program runs under ProtNone (where
 // self-modification really changes the fetched bytes) and ProtSplit (where

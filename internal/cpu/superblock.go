@@ -41,11 +41,11 @@ package cpu
 //     re-restrictions). Restricted pages therefore never execute from a
 //     stale block: re-restriction empties the frame's blocks and heat in
 //     place before the guest can fetch again, so hotness is re-proven
-//     without reallocating the frame's state. A block caches up to two
-//     same-page successors as links; each link records the frame's version,
-//     which every emptying bumps, so no link survives a drop. Cross-page
-//     successors are looked up through the ITLB every time, so an entry the
-//     split engine re-points to another frame is followed to that frame.
+//     without reallocating the frame's state. A chained successor is
+//     looked up anew at every block end, behind the same stamp check: on
+//     the same page in the frame's own entry table, on another page
+//     through the ITLB, so an entry the split engine re-points to another
+//     frame is followed to that frame.
 //   - The kernel's between-instruction scheduling contract is preserved:
 //     the block checks the published timeslice bound (SetSliceEnd) and
 //     consumes the chaos forced-preemption draw (Machine.Preempt) between
@@ -117,15 +117,6 @@ type superblock struct {
 	// MemAccess and four TLB walks (a page-crossing access translates each
 	// byte) per data access. The cost model is fixed at New.
 	maxCost uint64
-	links   [2]sbLink // same-page successors, most recent first
-}
-
-// sbLink caches the block compiled at byte offset off of the frame the
-// linking block lives in. It is valid while the frame's version is ver.
-type sbLink struct {
-	to  *superblock
-	off uint32
-	ver uint64
 }
 
 // sbFrame holds the superblock state of one physical frame, guarded by the
@@ -136,18 +127,16 @@ type sbFrame struct {
 	blocks []*superblock
 	wgen   uint64 // mem.Physical.Gen at stamp time
 	egen   uint64 // Machine.decEpoch at stamp time
-	ver    uint64 // bumped by every empty; invalidates links
 	state  pageTable
 }
 
-// empty discards the frame's heat, blocks and links in place. Hotness is
+// empty discards the frame's heat and blocks in place. Hotness is
 // deliberately re-proven after invalidation: rapidly self-modifying code
 // then pays at most one compile per sbHotThreshold executions.
 func (s *sbFrame) empty() {
 	clear(s.blocks) // release the discarded closures to the GC
 	s.blocks = s.blocks[:0]
 	s.state.reset()
-	s.ver++
 }
 
 // reset empties the frame and restamps it.
@@ -364,9 +353,12 @@ func (m *Machine) sbRun(b *superblock, sbf *sbFrame, f uint32, chain bool) StepR
 		if chain && m.Cycles < m.sliceEnd {
 			eip := m.Ctx.EIP
 			if eip&^uint32(mem.PageMask) == base {
-				// Same page: the same ITLB entry, so the same frame.
-				if next = m.sbLinked(b, sbf, f, eip&mem.PageMask); next != nil {
-					hits++
+				// Same page: the same ITLB entry, so the same frame. Stale
+				// stamps are left to the next Step, which restamps them.
+				if sbf.current(m, f) {
+					if next = sbf.compiled(eip & mem.PageMask); next != nil {
+						hits++
+					}
 				}
 			} else if nb, nsbf, nf, ns := m.sbProbe(eip); nb != nil {
 				m.ITLB.TouchSlotN(slot, hits)
@@ -381,27 +373,6 @@ func (m *Machine) sbRun(b *superblock, sbf *sbFrame, f uint32, chain bool) StepR
 		m.Stats.SuperblockEntered++
 		b = next
 	}
-}
-
-// sbLinked returns the block compiled at offset off of frame f, the frame
-// of block b, following b's links first and linking the block it finds. It
-// returns nil when the frame's stamps are stale (the next Step restamps
-// it) or no block is compiled there yet (the next Step heats the entry).
-func (m *Machine) sbLinked(b *superblock, sbf *sbFrame, f, off uint32) *superblock {
-	if !sbf.current(m, f) {
-		return nil
-	}
-	for i := range b.links {
-		if l := &b.links[i]; l.to != nil && l.off == off && l.ver == sbf.ver {
-			return l.to
-		}
-	}
-	next := sbf.compiled(off)
-	if next != nil {
-		b.links[1] = b.links[0]
-		b.links[0] = sbLink{to: next, off: off, ver: sbf.ver}
-	}
-	return next
 }
 
 // sbProbe finds the block a fetch of eip on another page would enter,
