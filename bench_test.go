@@ -279,12 +279,11 @@ big: .space 131072
 
 // BenchmarkCompute measures host-side simulator throughput on the
 // compute-bound nbench workload under the split engine, one sub-benchmark
-// per engine tier: the plain interpreter, the predecode cache, and the
-// superblock threaded-code engine. The simulated architecture is identical
-// in all three (the three-arm differential oracle proves it); only the host
-// cost of fetch/decode/dispatch changes. The speedup floors are enforced by
-// TestFastPathSpeedupGuard and TestSuperblockSpeedupGuard; this benchmark
-// reports the numbers.
+// per engine: the plain interpreter and the superblock threaded-code
+// engine. The simulated architecture is identical in both (the two-arm
+// differential oracle proves it); only the host cost of fetch/decode/
+// dispatch changes. The speedup floor is enforced by
+// TestSuperblockSpeedupGuard; this benchmark reports the numbers.
 func BenchmarkCompute(b *testing.B) {
 	prog, ok := workloads.Lookup("nbench")
 	if !ok {
@@ -292,19 +291,16 @@ func BenchmarkCompute(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name          string
-		noCache       bool
 		noSuperblocks bool
 	}{
-		{"interp", true, true},
-		{"predecode", false, true},
-		{"superblock", false, false},
+		{"interp", true},
+		{"superblock", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var instrs uint64
 			for i := 0; i < b.N; i++ {
 				m, err := splitmem.New(splitmem.Config{
 					Protection:    splitmem.ProtSplit,
-					NoDecodeCache: mode.noCache,
 					NoSuperblocks: mode.noSuperblocks,
 				})
 				if err != nil {

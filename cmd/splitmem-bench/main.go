@@ -7,10 +7,10 @@
 //	               [-forkpool] [-serve] [-cluster] [-parallel N] [-all]
 //	               [-json BENCH_results.json]
 //
-// -fastpath runs the three-engine ablation: nbench, gzip and syscall under
-// split memory on the interpreter, the predecode cache and the superblock
-// engine. The simulated side must be bit-identical across the three; the
-// host side reports each tier's MIPS and speedup.
+// -fastpath runs the two-engine ablation: nbench, gzip and syscall under
+// split memory on the interpreter and the superblock engine. The simulated
+// side must be bit-identical across the two; the host side reports each
+// engine's MIPS and the superblock speedup.
 // -forkpool measures warm-pool economics: machine start latency cold-booted
 // vs snapshot-forked (with the fork == cold determinism gate enforced) and
 // the physical frames each fork shares with its template copy-on-write.
@@ -48,7 +48,7 @@ func main() {
 		fig7     = flag.Bool("fig7", false, "run the context-switch stress tests")
 		fig8     = flag.Bool("fig8", false, "run the Apache page-size sweep")
 		fig9     = flag.Bool("fig9", false, "run the fractional-splitting sweep")
-		fastpath = flag.Bool("fastpath", false, "run the three-engine ablation (interpreter, predecode, superblock)")
+		fastpath = flag.Bool("fastpath", false, "run the two-engine ablation (interpreter, superblock)")
 		forkpool = flag.Bool("forkpool", false, "run the warm-pool cold-boot-vs-fork bench")
 		srv      = flag.Bool("serve", false, "run the splitmem-serve throughput load test")
 		clust    = flag.Bool("cluster", false, "run the sharded-cluster rolling-restart failover bench")

@@ -1,6 +1,6 @@
 // Command splitmem-fleet runs a fleet of independent S86 machines in
 // parallel and reports the merged result: aggregate run outcomes, summed
-// counters, decode-cache health, and (with -metrics) the merged telemetry
+// counters, and (with -metrics) the merged telemetry
 // registry in Prometheus text format.
 //
 // Usage:
@@ -8,7 +8,7 @@
 //	splitmem-fleet [-n N] [-workers W] [-seed S]
 //	               [-job nbench|gzip|syscall|pipe-throughput|fswrite|attack-grid]
 //	               [-prot none|nx|split|split+nx] [-response break|observe|forensics]
-//	               [-no-decode-cache] [-telemetry] [-metrics FILE] [-v]
+//	               [-telemetry] [-metrics FILE] [-v]
 //
 // Each machine gets a deterministically derived seed, so the fleet's result
 // is reproducible for any worker count.
@@ -31,14 +31,13 @@ func main() {
 		jobName   = flag.String("job", "nbench", "job: a cataloged workload, or attack-grid")
 		prot      = flag.String("prot", "split", "protection: none|nx|split|split+nx")
 		response  = flag.String("response", "break", "split response: break|observe|forensics")
-		noCache   = flag.Bool("no-decode-cache", false, "disable the predecode fast path")
 		telemetry = flag.Bool("telemetry", false, "enable per-machine telemetry and merge it")
 		metrics   = flag.String("metrics", "", "write merged metrics (Prometheus text) to FILE")
 		verbose   = flag.Bool("v", false, "print one line per machine")
 	)
 	flag.Parse()
 
-	mcfg := splitmem.Config{NoDecodeCache: *noCache, Telemetry: *telemetry || *metrics != ""}
+	mcfg := splitmem.Config{Telemetry: *telemetry || *metrics != ""}
 	switch *prot {
 	case "none":
 		mcfg.Protection = splitmem.ProtNone

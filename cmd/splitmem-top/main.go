@@ -144,8 +144,6 @@ func render(m *splitmem.Machine, frame, topN int) {
 		rate(s.ITLBHits, s.ITLBMisses), rate(s.DTLBHits, s.DTLBMisses))
 	fmt.Printf("split: pages=%d loads code/data=%d/%d detections=%d\n",
 		s.Split.SplitPages, s.Split.CodeTLBLoads, s.Split.DataTLBLoads, s.Split.Detections)
-	fmt.Printf("decode cache: %s  invalidations=%d\n",
-		rate(s.DecodeHits, s.DecodeMisses), s.DecodeInvalidations)
 	fmt.Printf("superblocks: compiled=%d entered=%d side-exits=%d invalidations=%d\n",
 		s.SuperblockCompiled, s.SuperblockEntered, s.SuperblockSideExits, s.SuperblockInvalidations)
 	fmt.Printf("mem: frames shared/private=%d/%d cow-copies=%d\n\n",

@@ -86,7 +86,7 @@ func forkSiblingDigests(t *testing.T, prog workloads.Program, cfg splitmem.Confi
 		d.exited, d.status = fp.Exited()
 		s := fm.Stats()
 		d.raw = s
-		d.stats = scrubDecode(s)
+		d.stats = scrubHost(s)
 		d.retired = s.Instructions
 		d.cycles = s.Cycles
 		var err error

@@ -10,8 +10,8 @@ package splitmem
 // The determinism contract is absolute: a machine booted from an Image (or
 // returned by Machine.Fork) is bit-identical to one restored from a Snapshot
 // taken at the same instant — same retired-instruction stream, same events,
-// same architectural stats. Only the host-side acceleration caches (predecode,
-// superblocks) start cold, exactly as they do after Restore; the oracle suite
+// same architectural stats. Only the host-side compiled superblocks start
+// cold, exactly as they do after Restore; the oracle suite
 // (TestOracleFork*) holds this across workloads, the Wilander attack grid,
 // and every chaos fault class.
 
@@ -100,7 +100,7 @@ func (img *Image) BootWithHook(hook func(Event)) (*Machine, error) {
 // Call it only between Run/RunContext invocations, like Snapshot.
 //
 // The fork carries no event hook (use ForkWithHook) and, like a restored
-// machine, starts with cold host-side decode/superblock caches.
+// machine, starts with cold host-side compiled superblocks.
 func (m *Machine) Fork() (*Machine, error) { return m.ForkWithHook(nil) }
 
 // ForkWithHook is Fork with an event hook attached to the child.

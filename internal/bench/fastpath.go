@@ -14,10 +14,9 @@ import (
 // program where it does not.
 var fastPathWorkloads = []string{"nbench", "gzip", "syscall"}
 
-// fastPathEngines are the three execution-engine tiers, slowest first: the
-// pure interpreter, the predecode cache, and the superblock threaded-code
-// engine stacked on top of it.
-var fastPathEngines = []string{"interp", "predecode", "superblock"}
+// fastPathEngines are the two execution engines, slowest first: the pure
+// interpreter and the superblock threaded-code engine.
+var fastPathEngines = []string{"interp", "superblock"}
 
 // fastPathReps is how many times each configuration runs; the minimum host
 // time is reported, which is the standard way to strip scheduler noise from
@@ -27,18 +26,17 @@ const fastPathReps = 3
 // FastPathRun is one measured configuration of the ablation.
 type FastPathRun struct {
 	Workload     string
-	Engine       string  // "interp", "predecode", or "superblock"
+	Engine       string  // "interp" or "superblock"
 	Cycles       uint64  // simulated cycles (must not depend on Engine)
 	Instructions uint64  // retired instructions (must not depend on Engine)
 	Work         float64 // workload work units
 	HostNS       int64   // best-of-reps host nanoseconds
-	HitRate      float64 // decode-cache hit rate (0 for the interpreter)
 	SBEntered    uint64  // superblock entries (superblock engine only)
 }
 
 // SimThroughput is the deterministic figure of merit: work per simulated
-// megacycle. It is independent of the host machine AND of the engine tier
-// (both fast paths are architecturally invisible), so it is the value the
+// megacycle. It is independent of the host machine AND of the engine (the
+// superblock engine is architecturally invisible), so it is the value the
 // CI regression guard pins.
 func (r FastPathRun) SimThroughput() float64 {
 	if r.Cycles == 0 {
@@ -55,12 +53,10 @@ func (r FastPathRun) HostMIPS() float64 {
 	return float64(r.Instructions) * 1e3 / float64(r.HostNS)
 }
 
-// engineConfig maps an engine tier onto the public config switches.
+// engineConfig maps an engine onto the public config switches.
 func engineConfig(engine string, cfg *splitmem.Config) error {
 	switch engine {
 	case "interp":
-		cfg.NoDecodeCache, cfg.NoSuperblocks = true, true
-	case "predecode":
 		cfg.NoSuperblocks = true
 	case "superblock":
 	default:
@@ -69,7 +65,7 @@ func engineConfig(engine string, cfg *splitmem.Config) error {
 	return nil
 }
 
-// measureFastPath runs one workload on one engine tier fastPathReps times
+// measureFastPath runs one workload on one engine fastPathReps times
 // and keeps the fastest host time.
 func measureFastPath(name, engine string) (FastPathRun, error) {
 	prog, ok := workloads.Lookup(name)
@@ -103,9 +99,6 @@ func measureFastPath(name, engine string) (FastPathRun, error) {
 		s := m.Stats()
 		if rep == 0 {
 			run.Cycles, run.Instructions, run.Work = s.Cycles, s.Instructions, prog.Work
-			if hm := s.DecodeHits + s.DecodeMisses; hm > 0 {
-				run.HitRate = float64(s.DecodeHits) / float64(hm)
-			}
 			run.SBEntered = s.SuperblockEntered
 			run.HostNS = host
 		} else {
@@ -122,50 +115,47 @@ func measureFastPath(name, engine string) (FastPathRun, error) {
 }
 
 // FastPath measures the engine ablation: every workload runs under the
-// split engine on all three tiers — interpreter, predecode cache, superblock
-// engine. The simulated side (cycles, instructions) must be bit-identical
-// across the triple — that invariant is enforced here, not just documented —
-// while the host side reports the speedup each tier buys.
+// split engine on both engines — interpreter and superblock engine. The
+// simulated side (cycles, instructions) must be bit-identical across the
+// pair — that invariant is enforced here, not just documented — while the
+// host side reports the speedup the superblock engine buys.
 func FastPath() (*Table, []FastPathRun, error) {
 	t := &Table{
 		Title:  "Fast path: engine ablation (split engine)",
-		Header: []string{"workload", "Mcycles", "work/Mcycle", "interp MIPS", "predecode MIPS", "superblock MIPS", "sb/interp", "sb/predec", "hit rate"},
+		Header: []string{"workload", "Mcycles", "work/Mcycle", "interp MIPS", "superblock MIPS", "sb/interp"},
 		Notes: []string{
-			"simulated cycles and retired instructions are bit-identical across all three engines (enforced)",
+			"simulated cycles and retired instructions are bit-identical across both engines (enforced)",
 			"MIPS = retired guest instructions per host second / 1e6; best of " +
 				fmt.Sprint(fastPathReps) + " runs",
 		},
 	}
 	var runs []FastPathRun
 	for _, name := range fastPathWorkloads {
-		var triple [3]FastPathRun
+		var pair [2]FastPathRun
 		for i, engine := range fastPathEngines {
 			r, err := measureFastPath(name, engine)
 			if err != nil {
 				return nil, nil, err
 			}
-			if i > 0 && (r.Cycles != triple[0].Cycles || r.Instructions != triple[0].Instructions) {
+			if i > 0 && (r.Cycles != pair[0].Cycles || r.Instructions != pair[0].Instructions) {
 				return nil, nil, fmt.Errorf(
 					"fastpath %s: engine %s changed the architecture: cycles %d vs %d, instrs %d vs %d",
-					name, engine, r.Cycles, triple[0].Cycles, r.Instructions, triple[0].Instructions)
+					name, engine, r.Cycles, pair[0].Cycles, r.Instructions, pair[0].Instructions)
 			}
-			triple[i] = r
+			pair[i] = r
 		}
-		if triple[2].SBEntered == 0 {
+		interp, sb := pair[0], pair[1]
+		if sb.SBEntered == 0 {
 			return nil, nil, fmt.Errorf("fastpath %s: superblock engine never entered a block", name)
 		}
-		runs = append(runs, triple[:]...)
-		interp, predec, sb := triple[0], triple[1], triple[2]
+		runs = append(runs, pair[:]...)
 		t.Rows = append(t.Rows, []string{
 			name,
 			fmt.Sprintf("%.1f", float64(sb.Cycles)/1e6),
 			fmt.Sprintf("%.2f", sb.SimThroughput()),
 			fmt.Sprintf("%.1f", interp.HostMIPS()),
-			fmt.Sprintf("%.1f", predec.HostMIPS()),
 			fmt.Sprintf("%.1f", sb.HostMIPS()),
 			fmt.Sprintf("%.2fx", sb.HostMIPS()/interp.HostMIPS()),
-			fmt.Sprintf("%.2fx", sb.HostMIPS()/predec.HostMIPS()),
-			fmt.Sprintf("%.1f%%", 100*sb.HitRate),
 		})
 	}
 	return t, runs, nil
@@ -175,11 +165,10 @@ func FastPath() (*Table, []FastPathRun, error) {
 // simulated work per megacycle, per workload — as the figure the CI perf
 // guard pins against the committed BENCH_results.json: the values are
 // host-independent, so any drift is a real simulator regression, never
-// noise. The host speedups are second and third, same-host-relative series.
+// noise. The host speedup is the second, same-host-relative series.
 func FastPathSimFigure(runs []FastPathRun) *Figure {
 	sim := Series{Name: "sim work/Mcycle"}
 	sbVsInterp := Series{Name: "host speedup (superblock/interp)"}
-	sbVsPredec := Series{Name: "host speedup (superblock/predecode)"}
 	byEngine := map[string]map[string]FastPathRun{}
 	for _, r := range runs {
 		if byEngine[r.Engine] == nil {
@@ -198,15 +187,11 @@ func FastPathSimFigure(runs []FastPathRun) *Figure {
 			sbVsInterp.Labels = append(sbVsInterp.Labels, name)
 			sbVsInterp.Values = append(sbVsInterp.Values, sb.HostMIPS()/interp.HostMIPS())
 		}
-		if predec, ok := byEngine["predecode"][name]; ok && predec.HostMIPS() > 0 {
-			sbVsPredec.Labels = append(sbVsPredec.Labels, name)
-			sbVsPredec.Values = append(sbVsPredec.Values, sb.HostMIPS()/predec.HostMIPS())
-		}
 	}
 	return &Figure{
 		Title:  "Fast path: deterministic throughput + host speedups",
 		YLabel: "work/Mcycle; speedup ratio",
-		Series: []Series{sim, sbVsInterp, sbVsPredec},
+		Series: []Series{sim, sbVsInterp},
 		Notes: []string{
 			"the sim series is deterministic and guarded by TestFastPathNoRegression (>10% drop fails CI)",
 		},

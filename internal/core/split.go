@@ -441,8 +441,8 @@ func (e *Engine) HandleFault(k *kernel.Kernel, p *kernel.Process, addr uint32, c
 	p.PT.Set(vpn, ent.WithFrame(pr.data).With(paging.User))
 	m.SupervisorTouch(addr)
 	p.PT.Set(vpn, p.PT.Get(vpn).Without(paging.User))
-	// Re-restriction is a decode-cache coherence point: the fast path must
-	// never outlive the trap configuration Algorithms 1-2 depend on.
+	// Re-restriction is a coherence point: compiled code must never
+	// outlive the trap configuration Algorithms 1-2 depend on.
 	m.DropDecodeFrame(pr.code)
 	m.DropDecodeFrame(pr.data)
 	e.stats.DataTLBLoads++

@@ -66,7 +66,6 @@ func callee(k uint32) []byte {
 
 // scrub zeroes the host-side counters, the only Stats the engine may move.
 func scrub(s Stats) Stats {
-	s.DecodeHits, s.DecodeMisses, s.DecodeInvalidations = 0, 0, 0
 	s.SuperblockCompiled, s.SuperblockEntered, s.SuperblockSideExits, s.SuperblockInvalidations = 0, 0, 0, 0
 	return s
 }

@@ -59,7 +59,7 @@ func newTestMachine(t *testing.T, code []byte) (*Machine, *testHandler) {
 }
 
 // newTestMachineCfg is newTestMachine with an explicit machine configuration
-// (the decode-cache tests need DecodeCache set).
+// (the superblock tests need Superblocks set).
 func newTestMachineCfg(t testing.TB, cfg Config, code []byte) (*Machine, *testHandler) {
 	t.Helper()
 	m, err := New(cfg)

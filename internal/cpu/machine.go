@@ -147,10 +147,10 @@ type TrapHandler interface {
 	DivideError() Action
 }
 
-// Stats aggregates architectural event counts. The Decode* and Superblock*
-// fields count host-side fast-path activity (see decode.go, superblock.go);
-// they are the only counters the fast paths are allowed to change relative
-// to a slow-path run.
+// Stats aggregates architectural event counts. The Superblock* fields count
+// host-side fast-path activity (see superblock.go); they are the only
+// counters the fast path is allowed to change relative to an interpreter
+// run.
 type Stats struct {
 	Instructions uint64
 	DataAccesses uint64
@@ -159,10 +159,6 @@ type Stats struct {
 	DebugTraps   uint64
 	Interrupts   uint64
 	CtxSwitches  uint64
-
-	DecodeHits          uint64 // fetches served from the predecode cache
-	DecodeMisses        uint64 // fetches that took the full decode path
-	DecodeInvalidations uint64 // cached frames discarded (gen/epoch/drop)
 
 	SuperblockCompiled      uint64 // hot regions compiled into superblocks
 	SuperblockEntered       uint64 // superblock dispatch-loop entries
@@ -208,21 +204,15 @@ type Machine struct {
 	pt      *paging.Table
 	handler TrapHandler
 
-	// Predecoded-instruction cache (decode.go). decOn gates the fast path;
-	// dec is indexed by physical frame number and allocated lazily on the
-	// first fill — a frame-count pointer array is too expensive to build
-	// (and for the GC to scan) on machines that never execute, and boots
-	// from an Image keep it off the start-latency path. decEpoch is the
-	// global invalidation stamp bumped on TLB flushes and shootdowns,
-	// shared with the superblock engine.
-	dec      []*decFrame
-	decOn    bool
-	decEpoch uint64
-
 	// Superblock engine (superblock.go). sbOn gates it; sb is indexed by
-	// physical frame number, allocated lazily like dec.
+	// physical frame number and allocated lazily on the first entry — a
+	// frame-count pointer array is too expensive to build (and for the GC
+	// to scan) on machines that never execute, and boots from an Image keep
+	// it off the start-latency path. decEpoch is the global invalidation
+	// stamp bumped on TLB flushes and shootdowns.
 	sb            []*sbFrame
 	sbOn          bool
+	decEpoch      uint64
 	sliceEnd      uint64 // scheduler's timeslice bound, for in-block side-exits
 	sbPF          *PageFault
 	sbDrawDone    bool // the last Step consumed the kernel's preempt draw
@@ -267,12 +257,6 @@ func (m *Machine) RegisterTelemetry(r *telemetry.Registry) {
 		func() float64 { return float64(m.Stats.Undefined) })
 	r.GaugeFunc("splitmem_cpu_ctx_switches_total", "scheduler context switches",
 		func() float64 { return float64(m.Stats.CtxSwitches) })
-	r.GaugeFunc("splitmem_cpu_decode_hits_total", "fetches served by the predecode cache",
-		func() float64 { return float64(m.Stats.DecodeHits) })
-	r.GaugeFunc("splitmem_cpu_decode_misses_total", "fetches that took the full decode path",
-		func() float64 { return float64(m.Stats.DecodeMisses) })
-	r.GaugeFunc("splitmem_cpu_decode_invalidations_total", "predecode-cache frames discarded",
-		func() float64 { return float64(m.Stats.DecodeInvalidations) })
 	r.GaugeFunc("splitmem_cpu_superblock_compiled_total", "hot regions compiled into superblocks",
 		func() float64 { return float64(m.Stats.SuperblockCompiled) })
 	r.GaugeFunc("splitmem_cpu_superblock_entered_total", "superblock dispatch-loop entries",
@@ -293,10 +277,8 @@ type Config struct {
 	DTLBSize  int       // data TLB entries (default 64, as on the PIII)
 	Cost      CostModel // zero value selects PentiumIII600
 	NXEnabled bool      // model hardware with the execute-disable bit
-	// DecodeCache enables the predecoded-instruction fast path (decode.go).
-	DecodeCache bool
 	// Superblocks enables the superblock threaded-code engine
-	// (superblock.go), the tier above the predecode cache.
+	// (superblock.go); without it every instruction is interpreted.
 	Superblocks bool
 	// Phys, when non-nil, becomes the machine's physical memory instead of a
 	// freshly built one — the Image boot fast path hands in a prebuilt
@@ -337,7 +319,6 @@ func New(cfg Config) (*Machine, error) {
 		Cost:      cfg.Cost,
 		NXEnabled: cfg.NXEnabled,
 	}
-	m.decOn = cfg.DecodeCache
 	m.sbOn = cfg.Superblocks
 	return m, nil
 }
@@ -486,11 +467,10 @@ func (m *Machine) faultCode(acc Access, present bool) uint32 {
 
 // EncodeState serializes the processor core: register file, CR2, the cycle
 // counter and the architectural statistics. Physical memory, the TLBs and the
-// pagetable are serialized by their owners; the predecode cache and the
-// compiled superblocks are deliberately absent (host-side only, rebuilt cold
-// after restore — the differential oracle proves them architecturally
-// invisible, and their counters are already the only Stats fields the
-// oracle scrubs).
+// pagetable are serialized by their owners; the compiled superblocks are
+// deliberately absent (host-side only, rebuilt cold after restore — the
+// differential oracle proves them architecturally invisible, and their
+// counters are already the only Stats fields the oracle scrubs).
 func (m *Machine) EncodeState(w *snapshot.Writer) {
 	for _, r := range m.Ctx.R {
 		w.U32(r)
@@ -510,9 +490,12 @@ func (m *Machine) EncodeState(w *snapshot.Writer) {
 	w.U64(m.Stats.DebugTraps)
 	w.U64(m.Stats.Interrupts)
 	w.U64(m.Stats.CtxSwitches)
-	w.U64(m.Stats.DecodeHits)
-	w.U64(m.Stats.DecodeMisses)
-	w.U64(m.Stats.DecodeInvalidations)
+	// Zero placeholders for the removed predecode cache's three counters:
+	// the v2 layout keeps them so images written before the removal (a
+	// running cluster's journaled checkpoints, say) still restore.
+	w.U64(0)
+	w.U64(0)
+	w.U64(0)
 	w.U64(m.Stats.SuperblockCompiled)
 	w.U64(m.Stats.SuperblockEntered)
 	w.U64(m.Stats.SuperblockSideExits)
@@ -539,9 +522,10 @@ func (m *Machine) DecodeState(r *snapshot.Reader) error {
 	m.Stats.DebugTraps = r.U64()
 	m.Stats.Interrupts = r.U64()
 	m.Stats.CtxSwitches = r.U64()
-	m.Stats.DecodeHits = r.U64()
-	m.Stats.DecodeMisses = r.U64()
-	m.Stats.DecodeInvalidations = r.U64()
+	// The removed predecode cache's counters; see EncodeState.
+	r.U64()
+	r.U64()
+	r.U64()
 	m.Stats.SuperblockCompiled = r.U64()
 	m.Stats.SuperblockEntered = r.U64()
 	m.Stats.SuperblockSideExits = r.U64()

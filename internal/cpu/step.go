@@ -157,22 +157,12 @@ func (m *Machine) deliverPF(pf *PageFault) Action {
 
 // fetchAt reads and decodes the instruction at EIP, whose first byte the
 // caller already translated to physical address pa. undef is true when the
-// bytes do not form a defined instruction (#UD).
-//
-// The entry translation always runs in the caller — ITLB fills, walk costs,
-// and fetch faults are architectural — but the byte reads and decode are
-// skipped when the predecode cache holds a current entry for the physical
-// address (see decode.go for the coherence rules).
+// bytes do not form a defined instruction (#UD). An instruction that crosses
+// into the next page translates that page here, with the architectural ITLB
+// fill and fault a real fetch would take.
 func (m *Machine) fetchAt(pa uint32) (isa.Instr, *PageFault, bool) {
 	var buf [isa.MaxInstrLen]byte
 	var pf *PageFault
-	if m.decOn {
-		if in, ok := m.decodeLookup(pa); ok {
-			m.Stats.DecodeHits++
-			return in, nil, false
-		}
-	}
-	pa0 := pa
 	buf[0] = m.Phys.Byte(pa)
 	n, ok := isa.EncLen(buf[0])
 	if !ok {
@@ -194,10 +184,6 @@ func (m *Machine) fetchAt(pa uint32) (isa.Instr, *PageFault, bool) {
 	in, err := isa.Decode(buf[:n])
 	if err != nil {
 		return isa.Instr{}, nil, true
-	}
-	if m.decOn {
-		m.Stats.DecodeMisses++
-		m.decodeFill(pa0, in)
 	}
 	return in, nil, false
 }

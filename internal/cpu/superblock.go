@@ -1,15 +1,15 @@
 package cpu
 
-// The superblock engine is the machine's second-tier host fast path: once a
-// straight-line region of guest code proves hot, its instructions are
-// compiled into a superblock — an array of pre-bound Go closures — and later
-// fetches of the region's entry point execute the whole array in a threaded
-// dispatch loop instead of taking one trip through Step per instruction.
+// The superblock engine is the machine's host fast path: once a straight-
+// line region of guest code proves hot, its instructions are compiled into a
+// superblock — an array of pre-bound Go closures — and later fetches of the
+// region's entry point execute the whole array in a threaded dispatch loop
+// instead of taking one trip through Step per instruction.
 //
-// Like the predecode cache (decode.go) the engine must be architecturally
-// invisible: a superblock run retires the exact instruction stream, cycle
-// counts, TLB hit/miss bookkeeping, trace-hook calls and trap deliveries the
-// interpreter would. The rules that make that true:
+// The engine must be architecturally invisible: a superblock run retires the
+// exact instruction stream, cycle counts, TLB hit/miss bookkeeping, trace-
+// hook calls and trap deliveries the interpreter would. The rules that make
+// that true:
 //
 //   - A block is entered in one of two ways. From Step, only after the full
 //     Translate of EIP succeeded, so ITLB fills, walk costs and fetch faults
@@ -28,21 +28,26 @@ package cpu
 //     and blocks never chain.
 //   - A block never contains a trapping instruction (int/int3/hlt), an
 //     undefined encoding, or a frame-crossing instruction; those always go
-//     through the interpreter. Branches terminate a block (side-exit).
+//     through the interpreter, whose fetch translates (and may fault on, and
+//     fills the ITLB for) the second page. Branches terminate a block
+//     (side-exit).
 //   - Any handler invocation — page fault, divide error, injected #DB —
 //     ends the block after delivery, exactly where Step would have returned.
 //     Compiled ops write no register, flag or EIP until their last data
 //     access has succeeded, so a faulting op leaves the context untouched
 //     for the restart without a saved copy.
-//   - Coherence reuses the predecode cache's stamps: a block is valid only
-//     while its frame's write generation (mem.Physical.Gen) and the decode
-//     epoch (bumped on TLB flush/invlpg) both match compile time, and only
-//     until its frame is dropped (DropDecodeFrame, at split-engine
+//   - Coherence rests on two stamps and one drop. A block is valid only
+//     while its frame's write generation (mem.Physical.Gen: bumped by every
+//     store, frame hand-out, frame copy, allocation and chaos bit flip that
+//     can change the frame's bytes) and the decode epoch (decEpoch: bumped
+//     on every TLB flush and invlpg shootdown, the conservative coherence
+//     points the paper's trap algorithms rely on) both match compile time,
+//     and only until its frame is dropped (DropDecodeFrame, at split-engine
 //     re-restrictions). Restricted pages therefore never execute from a
 //     stale block: re-restriction empties the frame's blocks and heat in
-//     place before the guest can fetch again, so hotness is re-proven
-//     without reallocating the frame's state. A chained successor is
-//     looked up anew at every block end, behind the same stamp check: on
+//     place (pageTable) before the guest can fetch again, so hotness is
+//     re-proven without reallocating the frame's state. A chained successor
+//     is looked up anew at every block end, behind the same stamp check: on
 //     the same page in the frame's own entry table, on another page
 //     through the ITLB, so an entry the split engine re-points to another
 //     frame is followed to that frame.
@@ -58,7 +63,9 @@ package cpu
 // Compiled blocks are host state: Snapshot deliberately drops them (a
 // restored machine re-proves hotness and recompiles), and the only Stats
 // fields a superblock run may change relative to the interpreter are the
-// host-side Superblock*/Decode* counters.
+// host-side Superblock* counters. The differential-execution oracle
+// (oracle_test.go) proves the engine retires the identical architectural
+// stream as the interpreter across every workload and every attack form.
 
 import (
 	"splitmem/internal/isa"
@@ -119,8 +126,36 @@ type superblock struct {
 	maxCost uint64
 }
 
+// pageTable maps the byte offsets of one page to 16-bit values, 0 meaning
+// unset. Every cell records the table generation it was written in, so
+// reset forgets all values in O(1) by advancing the generation; the cells
+// are cleared only when the generation wraps. A re-split frame therefore
+// costs nothing to invalidate, however large its page.
+type pageTable struct {
+	gen  uint16
+	cell [mem.PageSize]uint32 // gen<<16 | value
+}
+
+func (t *pageTable) get(off uint32) uint16 {
+	if c := t.cell[off&mem.PageMask]; uint16(c>>16) == t.gen {
+		return uint16(c)
+	}
+	return 0
+}
+
+func (t *pageTable) set(off uint32, v uint16) {
+	t.cell[off&mem.PageMask] = uint32(t.gen)<<16 | uint32(v)
+}
+
+func (t *pageTable) reset() {
+	t.gen++
+	if t.gen == 0 {
+		clear(t.cell[:])
+	}
+}
+
 // sbFrame holds the superblock state of one physical frame, guarded by the
-// same two coherence stamps the predecode cache uses. state maps each entry
+// two coherence stamps (see the package comment). state maps each entry
 // point's byte offset to its heat (below sbHotThreshold), sbNoCompile, or
 // sbCompiled plus the index of its block in blocks.
 type sbFrame struct {
@@ -156,6 +191,35 @@ func (s *sbFrame) compiled(off uint32) *superblock {
 		return s.blocks[st&^sbCompiled]
 	}
 	return nil
+}
+
+// DropDecodeFrame discards the compiled superblocks and entry-point heat of
+// physical frame f. The split engine calls it at every PTE re-restriction
+// so compiled code can never outlive the trap points Algorithms 1-2 depend
+// on; it is also the hook for any future path that changes what a frame
+// means without writing to it. The frame's state is emptied in place, so a
+// drop neither frees nor allocates. Each drop that discards compiled blocks
+// counts one SuperblockInvalidations; dropping a frame without blocks counts
+// none. No-op when the superblock engine is disabled.
+func (m *Machine) DropDecodeFrame(f uint32) {
+	if int(f) < len(m.sb) {
+		if sbf := m.sb[f]; sbf != nil {
+			if len(sbf.blocks) > 0 {
+				m.Stats.SuperblockInvalidations++
+			}
+			sbf.empty()
+		}
+	}
+}
+
+// InvalidateDecode discards every compiled superblock by advancing the
+// decode epoch. Called on TLB flushes and invlpg shootdowns; cheap (the
+// per-frame state is lazily restamped on its next fetch).
+func (m *Machine) InvalidateDecode() {
+	if !m.sbOn {
+		return
+	}
+	m.decEpoch++
 }
 
 // sbExec is the superblock entry gate, called from stepRetire after the

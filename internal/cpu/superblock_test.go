@@ -173,8 +173,8 @@ func TestSuperblockSelfStoreSideExit(t *testing.T) {
 }
 
 // TestSuperblockFlushAndInvlpgInvalidate: TLB flushes and invlpg advance the
-// decode epoch, invalidating compiled blocks exactly as they evict predecode
-// lines — the split engine's re-restriction path depends on it.
+// decode epoch, invalidating compiled blocks — the split engine's
+// re-restriction path depends on it.
 func TestSuperblockFlushAndInvlpgInvalidate(t *testing.T) {
 	m, _ := newSBMachine(t, selfLoop(isa.Instr{Op: isa.OpNop}))
 	warmLoop(t, m)
@@ -202,7 +202,7 @@ func TestSuperblockFlushAndInvlpgInvalidate(t *testing.T) {
 }
 
 // TestSuperblockDropFrame: the split engine's precise invalidation hook
-// drops a frame's superblock state along with its predecode lines. The drop
+// drops a frame's compiled blocks and entry-point heat. The drop
 // counts once, however often it repeats, and no compiled block of the frame
 // runs again until the loop head proves hot anew and recompiles.
 func TestSuperblockDropFrame(t *testing.T) {
@@ -294,5 +294,71 @@ func TestSuperblockTimesliceSideExit(t *testing.T) {
 	}
 	if m.Ctx.EIP != codeBase+2*nopLen {
 		t.Fatalf("EIP=%#x want %#x", m.Ctx.EIP, codeBase+2*nopLen)
+	}
+}
+
+// TestSuperblockPageCrossingEntryNeverCompiled: a hot loop whose entry
+// instruction straddles a page boundary is never compiled or entered as a
+// block. Its fetch translates the second page (ITLB fill, fault, split-
+// engine trap) on every pass, and a compiled replay would skip that.
+func TestSuperblockPageCrossingEntryNeverCompiled(t *testing.T) {
+	m, h := newSBMachine(t, nil)
+	pt := m.Pagetable()
+	f2, _ := m.Phys.Alloc()
+	pt.Set(codeVPN+1, paging.Entry(0).WithFrame(f2).With(paging.Present|paging.User))
+	// jmp to itself: 2 bytes on the first page, 3 on the second.
+	start := codeBase + uint32(mem.PageSize-2)
+	j := isa.Instr{Op: isa.OpJmp}
+	j.Imm = rel32(start, isa.Len(j), start)
+	code := asmBytes(j)
+	copy(m.Phys.Frame(pt.Get(codeVPN).Frame())[mem.PageSize-2:], code[:2])
+	copy(m.Phys.Frame(f2), code[2:])
+	m.Ctx.EIP = start
+	for pass := 0; pass < 4*sbHotThreshold; pass++ {
+		h0, m0, _, _ := m.ITLB.Stats()
+		stepN(t, m, 1)
+		h1, m1, _, _ := m.ITLB.Stats()
+		if got := h1 + m1 - h0 - m0; got != 2 {
+			t.Fatalf("pass %d: %d ITLB lookups, want 2 (both pages)", pass, got)
+		}
+		if m.Ctx.EIP != start {
+			t.Fatalf("pass %d: EIP=%#x want %#x", pass, m.Ctx.EIP, start)
+		}
+	}
+	if m.Stats.SuperblockCompiled != 0 || m.Stats.SuperblockEntered != 0 {
+		t.Fatalf("crossing entry compiled %d / entered %d times",
+			m.Stats.SuperblockCompiled, m.Stats.SuperblockEntered)
+	}
+	// Unmapping the second page makes the very next pass fault on it.
+	pt.Set(codeVPN+1, pt.Get(codeVPN+1).Without(paging.Present))
+	m.ITLB.Invalidate(codeVPN + 1)
+	if m.Step() != StepStopped {
+		t.Fatal("fetch across into an unmapped page did not fault")
+	}
+	if n := len(h.pageFaults); n != 1 || h.pageFaults[0].Addr != codeBase+mem.PageSize {
+		t.Fatalf("page faults %+v, want one at %#x", h.pageFaults, codeBase+mem.PageSize)
+	}
+}
+
+// TestPageTableResetForgets: a reset hides every value, including across the
+// wrap of the 16-bit generation, where a value written a whole generation
+// cycle earlier would otherwise reappear.
+func TestPageTableResetForgets(t *testing.T) {
+	var pt pageTable
+	pt.set(5, 7)
+	pt.reset()
+	if v := pt.get(5); v != 0 {
+		t.Fatalf("value %d survived a reset", v)
+	}
+	pt.set(9, 3)
+	for i := 0; i < 1<<16; i++ {
+		pt.reset()
+		if v := pt.get(9); v != 0 {
+			t.Fatalf("value %d reappeared after %d resets", v, i+1)
+		}
+	}
+	pt.set(9, 4)
+	if v := pt.get(9); v != 4 {
+		t.Fatalf("get after wrap = %d want 4", v)
 	}
 }

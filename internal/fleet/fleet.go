@@ -53,16 +53,13 @@ type MachineResult struct {
 
 // Totals sums the fleet-relevant counters across machines.
 type Totals struct {
-	Cycles              uint64
-	Instructions        uint64
-	PageFaults          uint64
-	CtxSwitches         uint64
-	Syscalls            uint64
-	Detections          uint64
-	DecodeHits          uint64
-	DecodeMisses        uint64
-	DecodeInvalidations uint64
-	Work                float64
+	Cycles       uint64
+	Instructions uint64
+	PageFaults   uint64
+	CtxSwitches  uint64
+	Syscalls     uint64
+	Detections   uint64
+	Work         float64
 }
 
 // Aggregate is the merged report of a fleet run.
@@ -167,9 +164,6 @@ func Run(cfg Config) (*Aggregate, error) {
 		agg.Totals.CtxSwitches += s.CtxSwitches
 		agg.Totals.Syscalls += s.Syscalls
 		agg.Totals.Detections += s.Split.Detections
-		agg.Totals.DecodeHits += s.DecodeHits
-		agg.Totals.DecodeMisses += s.DecodeMisses
-		agg.Totals.DecodeInvalidations += s.DecodeInvalidations
 		agg.Totals.Work += mr.Work
 	}
 	return agg, nil
@@ -198,10 +192,6 @@ func (a *Aggregate) Report() string {
 	if t.Work > 0 {
 		out += fmt.Sprintf("  work         %.0f (%.1f/Mcycle)\n", t.Work,
 			t.Work/(float64(t.Cycles)/1e6))
-	}
-	if hits, misses := t.DecodeHits, t.DecodeMisses; hits+misses > 0 {
-		out += fmt.Sprintf("  decode cache %.1f%% hit (%d hits, %d misses, %d invalidations)\n",
-			100*float64(hits)/float64(hits+misses), hits, misses, t.DecodeInvalidations)
 	}
 	return out
 }
@@ -266,9 +256,6 @@ func AttackGridJob() Job {
 			res.Stats.PageFaults += s.PageFaults
 			res.Stats.Syscalls += s.Syscalls
 			res.Stats.Split.Detections += s.Split.Detections
-			res.Stats.DecodeHits += s.DecodeHits
-			res.Stats.DecodeMisses += s.DecodeMisses
-			res.Stats.DecodeInvalidations += s.DecodeInvalidations
 		}
 		res.Run = splitmem.RunResult{Reason: splitmem.ReasonAllDone}
 		res.Work = float64(foiled)

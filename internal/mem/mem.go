@@ -7,7 +7,7 @@
 // every other machine attached to the same Base, plus a per-machine
 // copy-on-write overlay. The first store to a shared frame copies it into the
 // overlay; the store then bumps that machine's write generation exactly as a
-// store to a private frame would, so the predecode/superblock caches see the
+// store to a private frame would, so the CPU's compiled superblocks see the
 // same invalidation contract whether a frame is shared or not. Frames that are
 // neither shared nor materialized read as zero, so a cold machine allocates
 // host pages only for frames the guest actually touches.
@@ -348,8 +348,8 @@ func (p *Physical) Close() {
 // Gen returns the write generation of frame f: a counter bumped by every
 // operation that can change the frame's contents (stores, Frame hand-outs,
 // frame copies, allocation zeroing, chaos bit flips). Consumers that cache
-// anything derived from a frame's bytes — the CPU's predecoded-instruction
-// cache — snapshot the generation at fill time and treat any later mismatch
+// anything derived from a frame's bytes — the CPU's compiled superblocks —
+// snapshot the generation at fill time and treat any later mismatch
 // as an invalidation. Copy-on-write materialization does not bump the
 // generation by itself (the contents are unchanged); the store that triggered
 // it does, exactly as on a private frame. Out-of-range frames report

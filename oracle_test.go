@@ -1,14 +1,13 @@
 package splitmem_test
 
-// The differential-execution oracle: the machine's host-side fast paths —
-// the predecode cache and the superblock threaded-code engine — must be
-// architecturally invisible. Every workload, every attack form of the
-// extended Wilander grid, and every real-world scenario is executed by THREE
-// engine arms (superblocks + predecode, predecode only, pure interpreter)
-// and all arms must agree pairwise on EVERYTHING the architecture defines:
-// the full retired-instruction stream (EIP + decoded fields, hashed online),
-// simulated cycles, kernel event log bytes, exit status, and every statistic
-// except the Decode*/Superblock* counters themselves (the only
+// The differential-execution oracle: the machine's host-side fast path, the
+// superblock threaded-code engine, must be architecturally invisible. Every
+// workload, every attack form of the extended Wilander grid, and every
+// real-world scenario is executed by TWO engine arms (superblocks, pure
+// interpreter), and the arms must agree on EVERYTHING the architecture
+// defines: the full retired-instruction stream (EIP + decoded fields, hashed
+// online), simulated cycles, kernel event log bytes, exit status, and every
+// statistic except the Superblock* counters themselves (the only
 // host-side-only numbers in Stats).
 //
 // The simulator is deterministic, so any divergence is a real coherence bug
@@ -26,12 +25,11 @@ import (
 	"splitmem/internal/workloads"
 )
 
-// scrubDecode zeroes the host-side counters — decode cache, superblock
-// engine, and frame-store sharing — the only Stats fields allowed to differ
-// between arms (a forked arm shares frames its cold-booted twin owns
-// outright; neither difference is architecturally observable).
-func scrubDecode(s splitmem.Stats) splitmem.Stats {
-	s.DecodeHits, s.DecodeMisses, s.DecodeInvalidations = 0, 0, 0
+// scrubHost zeroes the host-side counters — superblock engine and
+// frame-store sharing — the only Stats fields allowed to differ between arms
+// (a forked arm shares frames its cold-booted twin owns outright; neither
+// difference is architecturally observable).
+func scrubHost(s splitmem.Stats) splitmem.Stats {
 	s.SuperblockCompiled, s.SuperblockEntered = 0, 0
 	s.SuperblockSideExits, s.SuperblockInvalidations = 0, 0
 	s.MemSharedFrames, s.MemPrivateFrames, s.MemCowCopies = 0, 0, 0
@@ -44,18 +42,15 @@ type engineArm struct {
 	mut  func(*splitmem.Config)
 }
 
-// engineArms: the three arms, fastest first. Pairwise comparison of
-// consecutive arms covers all pairs transitively.
+// engineArms: the two arms, fastest first.
 var engineArms = []engineArm{
 	{"superblock", func(*splitmem.Config) {}},
-	{"predecode", func(c *splitmem.Config) { c.NoSuperblocks = true }},
-	{"interp", func(c *splitmem.Config) { c.NoSuperblocks, c.NoDecodeCache = true, true }},
+	{"interp", func(c *splitmem.Config) { c.NoSuperblocks = true }},
 }
 
 // checkArmVacuity proves each arm really ran on its intended engine: the
-// superblock arm must have entered compiled blocks, the predecode arm must
-// have hit the decode cache without superblocks, and the interpreter arm must
-// have used neither.
+// superblock arm must have entered compiled blocks, and the interpreter arm
+// must not have.
 func checkArmVacuity(t *testing.T, arm string, s splitmem.Stats) {
 	t.Helper()
 	switch arm {
@@ -63,17 +58,9 @@ func checkArmVacuity(t *testing.T, arm string, s splitmem.Stats) {
 		if s.SuperblockEntered == 0 {
 			t.Error("superblock arm never entered a compiled block — oracle is vacuous")
 		}
-	case "predecode":
-		if s.SuperblockEntered != 0 {
-			t.Error("predecode arm entered a superblock — oracle is vacuous")
-		}
-		if s.DecodeHits == 0 {
-			t.Error("predecode arm never hit the decode cache — oracle is vacuous")
-		}
 	case "interp":
-		if s.SuperblockEntered != 0 || s.DecodeHits != 0 {
-			t.Errorf("interpreter arm used a fast path (sb %d, decode %d) — oracle is vacuous",
-				s.SuperblockEntered, s.DecodeHits)
+		if s.SuperblockEntered != 0 {
+			t.Errorf("interpreter arm entered %d superblocks — oracle is vacuous", s.SuperblockEntered)
 		}
 	}
 }
@@ -127,7 +114,7 @@ func runWorkload(t *testing.T, prog workloads.Program, cfg splitmem.Config) work
 	d.exited, d.status = p.Exited()
 	s := m.Stats()
 	d.raw = s
-	d.stats = scrubDecode(s)
+	d.stats = scrubHost(s)
 	d.retired = s.Instructions
 	d.cycles = s.Cycles
 	d.events, err = m.EventsJSONL()
@@ -159,7 +146,7 @@ func compareDigests(t *testing.T, name string, fast, slow workloadDigest) {
 }
 
 // TestOracleWorkloads: every cataloged workload under every protection
-// policy, all three engine arms pairwise.
+// policy, on both engine arms.
 func TestOracleWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle sweep is broad")
@@ -257,7 +244,7 @@ func runWorkloadResumed(t *testing.T, prog workloads.Program, cfg splitmem.Confi
 	d.reason = res.Reason
 	d.exited, d.status = p2.Exited()
 	s := m.Stats()
-	d.stats = scrubDecode(s)
+	d.stats = scrubHost(s)
 	d.retired = s.Instructions
 	d.cycles = s.Cycles
 	d.events, err = m.EventsJSONL()
@@ -343,7 +330,7 @@ func runWorkloadForked(t *testing.T, prog workloads.Program, cfg splitmem.Config
 		d.exited, d.status = fp.Exited()
 		s := fm.Stats()
 		d.raw = s
-		d.stats = scrubDecode(s)
+		d.stats = scrubHost(s)
 		d.retired = s.Instructions
 		d.cycles = s.Cycles
 		d.events, err = fm.EventsJSONL()
@@ -485,9 +472,9 @@ func compareAttack(t *testing.T, name string, fast, slow attacks.Result) {
 		fast.FaultAddr != slow.FaultAddr {
 		t.Errorf("%s: outcomes diverge:\nfast %+v\nslow %+v", name, fast, slow)
 	}
-	if scrubDecode(fast.Stats) != scrubDecode(slow.Stats) {
+	if scrubHost(fast.Stats) != scrubHost(slow.Stats) {
 		t.Errorf("%s: stats diverge:\nfast %+v\nslow %+v",
-			name, scrubDecode(fast.Stats), scrubDecode(slow.Stats))
+			name, scrubHost(fast.Stats), scrubHost(slow.Stats))
 	}
 	if !bytes.Equal(fast.EventsJSONL, slow.EventsJSONL) {
 		t.Errorf("%s: event logs diverge:\nfast:\n%s\nslow:\n%s",
@@ -499,7 +486,7 @@ func compareAttack(t *testing.T, name string, fast, slow attacks.Result) {
 }
 
 // TestOracleWilanderGrid: all techniques x all injection segments (the
-// paper's Table 1 benchmark, extended), all three engine arms, under both
+// paper's Table 1 benchmark, extended), both engine arms, under both
 // split deployments. The detection event — kind, EIP, dumped shellcode
 // bytes — must be byte-for-byte identical: detection happens at the unique
 // fetch of the first injected instruction, and no fast path may move it.
@@ -527,7 +514,6 @@ func TestOracleWilanderGrid(t *testing.T) {
 				for _, c := range cells {
 					if !c.NA {
 						agg.SuperblockEntered += c.Result.Stats.SuperblockEntered
-						agg.DecodeHits += c.Result.Stats.DecodeHits
 					}
 				}
 				checkArmVacuity(t, arm.name, agg)
@@ -554,7 +540,7 @@ func TestOracleWilanderGrid(t *testing.T) {
 	}
 }
 
-// TestOracleScenarios: the real-world exploit scenarios (Table 2), all three
+// TestOracleScenarios: the real-world exploit scenarios (Table 2), both
 // engine arms, across the response modes.
 func TestOracleScenarios(t *testing.T) {
 	if testing.Short() {

@@ -14,11 +14,10 @@ package splitmem
 //
 // Deliberately not captured:
 //
-//   - The predecoded-instruction cache and the superblock engine's compiled
-//     blocks: host-side acceleration state, rebuilt on demand. A restored
-//     machine starts cold (superblock regions re-prove hotness and
-//     recompile); only the host-only Decode*/Superblock* counters can
-//     differ from an uninterrupted run.
+//   - The superblock engine's compiled blocks: host-side acceleration
+//     state, rebuilt on demand. A restored machine starts cold (superblock
+//     regions re-prove hotness and recompile); only the host-only
+//     Superblock* counters can differ from an uninterrupted run.
 //   - Telemetry spans and metrics: host-side observability, not guest
 //     state. A restored machine starts a fresh timeline.
 //   - Config.EventHook: functions don't serialize; pass one to
@@ -286,7 +285,10 @@ func encodeConfig(w *snapshot.Writer, cfg *Config) {
 	w.Int(cfg.ITLBSize)
 	w.Int(cfg.DTLBSize)
 	w.Int(cfg.PhysBytes)
-	w.Bool(cfg.NoDecodeCache)
+	// Placeholder for the removed decode-cache knob: the v2 layout keeps
+	// the slot so images written before the removal (a running cluster's
+	// journaled checkpoints, say) still restore.
+	w.Bool(false)
 	w.Bool(cfg.NoSuperblocks)
 	w.Int(cfg.TraceDepth)
 	w.Bool(cfg.Telemetry)
@@ -334,7 +336,7 @@ func decodeConfig(r *snapshot.Reader) (Config, error) {
 	cfg.ITLBSize = r.Int()
 	cfg.DTLBSize = r.Int()
 	cfg.PhysBytes = r.Int()
-	cfg.NoDecodeCache = r.Bool()
+	r.Bool() // the removed decode-cache knob; see encodeConfig
 	cfg.NoSuperblocks = r.Bool()
 	cfg.TraceDepth = r.Int()
 	cfg.Telemetry = r.Bool()

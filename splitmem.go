@@ -191,18 +191,12 @@ type Config struct {
 	DTLBSize  int
 	PhysBytes int
 
-	// NoDecodeCache disables the predecoded-instruction fast path and
-	// forces the slow fetch/decode loop. The fast path is architecturally
+	// NoSuperblocks disables the superblock threaded-code engine, which
+	// compiles hot straight-line regions into arrays of pre-bound closures,
+	// forcing per-instruction interpretation. The engine is architecturally
 	// invisible (the differential-execution oracle proves it retires the
-	// identical stream), so this knob exists for that oracle and for
-	// benchmarking the fast path itself, not for correctness.
-	NoDecodeCache bool
-
-	// NoSuperblocks disables the superblock threaded-code engine — the
-	// tier above the predecode cache, which compiles hot straight-line
-	// regions into arrays of pre-bound closures — forcing per-instruction
-	// dispatch. Like NoDecodeCache this knob exists for the three-arm
-	// differential oracle and the fastpath bench, not for correctness.
+	// identical stream), so this knob exists for that two-arm oracle and
+	// the fastpath bench, not for correctness.
 	NoSuperblocks bool
 
 	// TraceDepth, when positive, records the last N executed instructions
@@ -263,7 +257,6 @@ func newMachine(cfg Config, phys *mem.Physical) (*Machine, error) {
 		DTLBSize:    cfg.DTLBSize,
 		Cost:        cfg.CostModel,
 		NXEnabled:   nxEnabled,
-		DecodeCache: !cfg.NoDecodeCache,
 		Superblocks: !cfg.NoSuperblocks,
 		Phys:        phys,
 	})
@@ -466,13 +459,16 @@ type Stats struct {
 	Split          SplitStats // zero when no split engine is active
 	Chaos          ChaosStats // zero when no chaos injection is configured
 
-	// Fast-path health (predecode cache and superblock engine). Host-side
-	// only: these are the sole counters allowed to differ between runs of
-	// the same program under different engine configurations.
-	DecodeHits          uint64
-	DecodeMisses        uint64
+	// Deprecated: always zero; the predecode tier was removed.
+	DecodeHits uint64
+	// Deprecated: always zero; the predecode tier was removed.
+	DecodeMisses uint64
+	// Deprecated: always zero; the predecode tier was removed.
 	DecodeInvalidations uint64
 
+	// Fast-path health (superblock engine). Host-side only: these are the
+	// sole counters allowed to differ between runs of the same program
+	// under different engine configurations.
 	SuperblockCompiled      uint64
 	SuperblockEntered       uint64
 	SuperblockSideExits     uint64
@@ -496,9 +492,6 @@ func (m *Machine) Stats() Stats {
 		DebugTraps:   m.mach.Stats.DebugTraps,
 		CtxSwitches:  m.mach.Stats.CtxSwitches,
 	}
-	s.DecodeHits = m.mach.Stats.DecodeHits
-	s.DecodeMisses = m.mach.Stats.DecodeMisses
-	s.DecodeInvalidations = m.mach.Stats.DecodeInvalidations
 	s.SuperblockCompiled = m.mach.Stats.SuperblockCompiled
 	s.SuperblockEntered = m.mach.Stats.SuperblockEntered
 	s.SuperblockSideExits = m.mach.Stats.SuperblockSideExits
