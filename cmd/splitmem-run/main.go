@@ -12,6 +12,10 @@
 // in Perfetto (https://ui.perfetto.dev); -metrics-out writes the metrics
 // registry in the Prometheus text format (or JSON Lines when the path ends
 // in .jsonl). Either flag enables telemetry for the run.
+//
+// With -budget N -checkpoint f, a run that stops on its cycle budget writes
+// the machine's Image to f; -resume f (no program argument) boots that Image
+// and continues, producing the output the uninterrupted run would have.
 package main
 
 import (
@@ -37,13 +41,13 @@ func main() {
 		budget   = flag.Uint64("budget", 0, "cycle budget (0 = unlimited)")
 		traceOut = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON (Perfetto) to this file")
 		metrOut  = flag.String("metrics-out", "", "write telemetry metrics (Prometheus text, or JSONL if the path ends in .jsonl) to this file")
-		ckptOut  = flag.String("checkpoint", "", "write a snapshot image to this file if the run stops on its cycle budget")
-		resume   = flag.String("resume", "", "resume from a snapshot image instead of loading a program (no program argument)")
+		ckptOut  = flag.String("checkpoint", "", "write a machine image to this file if the run stops on its cycle budget")
+		resume   = flag.String("resume", "", "resume from a machine image instead of loading a program (no program argument)")
 	)
 	flag.Parse()
 	if *resume != "" {
 		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: splitmem-run -resume image.snap [flags] (no program argument: the image carries the machine)")
+			fmt.Fprintln(os.Stderr, "usage: splitmem-run -resume image.img [flags] (no program argument: the image carries the machine)")
 			os.Exit(2)
 		}
 		runResumed(*resume, *ckptOut, *budget, *stats, *events, *jsonOut)
@@ -163,35 +167,39 @@ func main() {
 	finish(res, p)
 }
 
-// maybeCheckpoint snapshots the machine to path when the run parked on its
-// cycle budget — the resumable case. A finished (or broken) run has nothing
-// worth resuming, so no image is written.
+// maybeCheckpoint writes the machine's Image to path when the run parked on
+// its cycle budget — the resumable case. A finished (or broken) run has
+// nothing worth resuming, so no image is written.
 func maybeCheckpoint(m *splitmem.Machine, res splitmem.RunResult, path string) {
 	if path == "" || res.Reason != splitmem.ReasonBudget {
 		return
 	}
-	img, err := m.Snapshot()
+	img, err := m.Image()
+	if err == nil {
+		err = writeFileWith(path, func(w io.Writer) error { _, err := img.WriteTo(w); return err })
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "checkpoint:", err)
 		os.Exit(1)
 	}
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "checkpoint:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "checkpoint: %d-byte image written to %s (resume with -resume)\n", len(img), path)
+	fmt.Fprintf(os.Stderr, "checkpoint: image written to %s (resume with -resume)\n", path)
 }
 
-// runResumed restores a snapshot image and continues the run. The image
-// carries the whole machine — config, program, pending input — so no program
-// argument or protection flags apply.
+// runResumed boots a machine from an Image file and continues the run. The
+// image carries the whole machine — config, program, pending input — so no
+// program argument or protection flags apply.
 func runResumed(path, ckptOut string, budget uint64, stats, events, jsonOut bool) {
-	img, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m, err := splitmem.Restore(img)
+	img, err := splitmem.ReadImage(f)
+	f.Close()
+	var m *splitmem.Machine
+	if err == nil {
+		m, err = img.Boot()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "resume:", err)
 		os.Exit(1)

@@ -1,21 +1,29 @@
 package splitmem
 
-// The typed Image API: a machine parked at a timeslice boundary freezes into
-// an Image — architectural metadata plus an immutable, refcounted set of
-// physical frames (mem.Base) — and any number of machines boot from it,
-// sharing every frame copy-on-write until their first write. This is the
+// The Image: the one serialized form of a machine, and the typed API over
+// it. A machine parked at a timeslice boundary freezes into an Image —
+// architectural metadata plus an immutable, refcounted set of physical
+// frames (mem.Base) — and any number of machines boot from it, sharing every
+// frame copy-on-write until their first write. This is the
 // Firecracker/snap-start shape: boot a template once, fork per job, pay only
-// for the frames each fork actually dirties.
+// for the frames each fork actually dirties. Checkpoints use the same wire
+// format: Machine.Snapshot writes it from a live machine, and ReadImage plus
+// Boot resumes one.
 //
 // The determinism contract is absolute: a machine booted from an Image (or
-// returned by Machine.Fork) is bit-identical to one restored from a Snapshot
-// taken at the same instant — same retired-instruction stream, same events,
-// same architectural stats. Only the host-side compiled superblocks start
-// cold, exactly as they do after Restore; the oracle suite
-// (TestOracleFork*) holds this across workloads, the Wilander attack grid,
-// and every chaos fault class.
+// returned by Machine.Fork) is bit-identical to the source at the instant
+// the Image was taken — same retired-instruction stream, same events, same
+// architectural stats. Only host-side state differs (compiled superblocks
+// start cold, frames start shared); the oracle suites (TestOracleSnapshot*,
+// TestOracleFork*) hold this across workloads, the Wilander attack grid, and
+// every chaos fault class.
+//
+// Wire format: magic, version, the length-prefixed metadata section
+// (snapshot.go), the frame count, the nonzero frames as (number, contents)
+// pairs in ascending order, and a CRC-32 trailer over everything before it.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -25,19 +33,17 @@ import (
 )
 
 // imgMagic brands a serialized Image; imgVersion is bumped on any format
-// change. The Image format shares the section codec with Snapshot but stores
-// frame contents once, outside the metadata, so a written image is also the
-// natural interchange format for warm-pool templates.
+// change. There is no cross-version decoding: a checkpoint is a short-lived
+// crash-recovery artifact, not an archival format.
 const (
 	imgMagic   = "S86IMG\x00\x01"
-	imgVersion = 1
+	imgVersion = 2 // v2: the only machine-state format; all-zero frames skipped, no decode-cache slots
 )
 
-// Image is an immutable machine image: everything a Snapshot captures, with
-// the physical frame contents held in a shareable mem.Base instead of inline
-// bytes. An Image is safe for concurrent use — any number of goroutines may
-// Boot from it at once — and stays valid however many machines attach to or
-// detach from it.
+// Image is an immutable machine image: the machine's architectural state,
+// with the physical frame contents held in a shareable mem.Base. An Image is
+// safe for concurrent use — any number of goroutines may Boot from it at
+// once — and stays valid however many machines attach to or detach from it.
 //
 // Obtain one with Machine.Image (freezing a live machine) or ReadImage
 // (deserializing a written one).
@@ -46,7 +52,7 @@ type Image struct {
 	base *mem.Base // immutable shared frame contents
 
 	// pmeta caches the decoded physical-allocator section of meta so repeated
-	// boots install it by copy instead of re-parsing bytes (the warm-pool hot
+	// boots alias it instead of re-parsing bytes (the warm-pool hot
 	// path). Machine.Image fills it at freeze time; an Image read from bytes
 	// self-warms after its first successful Boot, which is also the boot that
 	// fully validates the byte section. Atomic because Boot is documented
@@ -62,16 +68,14 @@ type Image struct {
 // taking an Image is cheap — no frame bytes move — and repeated calls on an
 // undisturbed machine reuse the same frame store.
 func (m *Machine) Image() (*Image, error) {
-	w := snapshot.NewWriter()
-	m.encodeBody(w, false)
-	img := &Image{meta: w.Bytes(), base: m.mach.Phys.Seal()}
+	img := &Image{meta: m.encodeMeta(), base: m.mach.Phys.Seal()}
 	img.pmeta.Store(m.mach.Phys.SnapMeta())
 	return img, nil
 }
 
 // Boot builds a fresh machine from the Image. The machine shares the Image's
-// physical frames copy-on-write and is bit-identical to one restored from a
-// Snapshot of the original at the same instant. Failures wrap ErrBadImage.
+// physical frames copy-on-write and is bit-identical to the source machine
+// at the instant the Image was taken. Failures wrap ErrBadImage.
 func (img *Image) Boot() (*Machine, error) { return img.BootWithHook(nil) }
 
 // BootWithHook is Boot with an event hook attached to the new machine
@@ -81,7 +85,7 @@ func (img *Image) BootWithHook(hook func(Event)) (*Machine, error) {
 		return nil, fmt.Errorf("%w: nil image", ErrBadImage)
 	}
 	pmeta := img.pmeta.Load()
-	m, err := decodeBody(snapshot.NewReader(img.meta), hook, img.base, pmeta)
+	m, err := decodeMeta(img.meta, hook, img.base, pmeta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadImage, err)
 	}
@@ -99,7 +103,7 @@ func (img *Image) BootWithHook(hook func(Event)) (*Machine, error) {
 // fully independent afterwards: neither can observe the other's writes.
 // Call it only between Run/RunContext invocations, like Snapshot.
 //
-// The fork carries no event hook (use ForkWithHook) and, like a restored
+// The fork carries no event hook (use ForkWithHook) and, like any booted
 // machine, starts with cold host-side compiled superblocks.
 func (m *Machine) Fork() (*Machine, error) { return m.ForkWithHook(nil) }
 
@@ -125,37 +129,28 @@ func (m *Machine) Close() {
 // nil. Exposed for pool accounting and tests (mem.Base.Refs).
 func (m *Machine) SharedBase() *mem.Base { return m.mach.Phys.Base() }
 
-// WriteTo serializes the Image: magic, version, the metadata section, the
-// nonzero frames of the shared base, and a CRC-32 trailer over everything
-// before it. Image implements io.WriterTo.
+// WriteTo serializes the Image (see the wire format above). Image
+// implements io.WriterTo.
 func (img *Image) WriteTo(dst io.Writer) (int64, error) {
-	w := snapshot.NewWriter()
-	w.Raw([]byte(imgMagic))
-	w.U32(imgVersion)
-	w.Bytes32(img.meta)
-	n := img.base.NumFrames()
-	w.U32(n)
-	var nonzero uint32
-	for f := uint32(0); f < n; f++ {
-		if img.base.View(f) != nil {
-			nonzero++
-		}
-	}
-	w.U32(nonzero)
-	for f := uint32(0); f < n; f++ {
-		if b := img.base.View(f); b != nil {
-			w.U32(f)
-			w.Raw(b)
-		}
-	}
-	w.U32(snapshot.Checksum(w.Bytes()))
-	written, err := dst.Write(w.Bytes())
+	written, err := dst.Write(writeImage(img.meta, img.base))
 	return int64(written), err
 }
 
-// ReadFrom deserializes an Image written by WriteTo, replacing the
-// receiver's contents. Image implements io.ReaderFrom. Failures wrap
-// ErrBadImage.
+// writeImage is the one Image writer, shared by WriteTo (frames from the
+// sealed base) and Snapshot (frames read live from a machine).
+func writeImage(meta []byte, frames mem.FrameSource) []byte {
+	w := snapshot.NewWriter()
+	w.Raw([]byte(imgMagic))
+	w.U32(imgVersion)
+	w.Bytes32(meta)
+	mem.EncodeFrames(w, frames)
+	w.U32(snapshot.Checksum(w.Bytes()))
+	return w.Bytes()
+}
+
+// ReadFrom deserializes an Image written by WriteTo (or Snapshot),
+// replacing the receiver's contents. Image implements io.ReaderFrom.
+// Failures wrap ErrBadImage.
 func (img *Image) ReadFrom(src io.Reader) (int64, error) {
 	raw, err := io.ReadAll(src)
 	if err != nil {
@@ -167,12 +162,12 @@ func (img *Image) ReadFrom(src io.Reader) (int64, error) {
 	}
 	img.meta = dec.meta
 	img.base = dec.base
-	img.pmeta.Store(dec.pmeta.Load())
+	img.pmeta.Store(nil)
 	return int64(len(raw)), nil
 }
 
-// ReadImage deserializes an Image written by WriteTo. Failures wrap
-// ErrBadImage (and the snapshot sentinels ErrSnapshotTruncated /
+// ReadImage deserializes an Image written by WriteTo or Snapshot. Failures
+// wrap ErrBadImage (and the sentinels ErrSnapshotTruncated /
 // ErrSnapshotCorrupt / ErrSnapshotVersion for classification).
 func ReadImage(src io.Reader) (*Image, error) {
 	raw, err := io.ReadAll(src)
@@ -182,58 +177,52 @@ func ReadImage(src io.Reader) (*Image, error) {
 	return decodeImage(raw)
 }
 
-func decodeImage(raw []byte) (*Image, error) {
-	badf := func(err error) error { return fmt.Errorf("%w: %w", ErrBadImage, err) }
-	if len(raw) < len(imgMagic)+12 {
-		return nil, badf(snapshot.ErrTruncated)
+// VerifyImage checks that a serialized Image arrived intact — its minimum
+// length and the CRC-32 trailer over everything before it — without
+// decoding any state or allocating a machine. It is the transfer gate for
+// checkpoints shipped between processes (the cluster gateway verifies every
+// image it relays, and a replica re-verifies before resuming) and the first
+// step of ReadImage, which then checks magic and version. Failures wrap
+// ErrBadImage and ErrSnapshotTruncated or ErrSnapshotCorrupt: any flipped
+// bit, the header's included, fails here, so refetch.
+//
+// An intact image of another format or format version passes, since
+// refetching could not change it; such bytes (a checkpoint shipped across an
+// upgrade, say) then fail ReadImage with ErrSnapshotVersion.
+func VerifyImage(raw []byte) error {
+	if len(raw) < len(imgMagic)+8 {
+		return fmt.Errorf("%w: %w", ErrBadImage, snapshot.ErrTruncated)
 	}
-	if string(raw[:len(imgMagic)]) != imgMagic {
-		return nil, badf(snapshot.Corruptf("bad image magic"))
-	}
-	body := raw[:len(raw)-4]
 	want := snapshot.NewReader(raw[len(raw)-4:]).U32()
-	if got := snapshot.Checksum(body); got != want {
-		return nil, badf(snapshot.Corruptf("checksum mismatch: image says %#x, content hashes to %#x", want, got))
+	if got := snapshot.Checksum(raw[:len(raw)-4]); got != want {
+		return fmt.Errorf("%w: %w", ErrBadImage,
+			snapshot.Corruptf("checksum mismatch: image says %#x, content hashes to %#x", want, got))
 	}
-	r := snapshot.NewReader(body[len(imgMagic):])
+	return nil
+}
+
+func decodeImage(raw []byte) (*Image, error) {
+	if err := VerifyImage(raw); err != nil {
+		return nil, err
+	}
+	badf := func(err error) error { return fmt.Errorf("%w: %w", ErrBadImage, err) }
+	if !bytes.HasPrefix(raw, []byte(imgMagic)) {
+		return nil, badf(fmt.Errorf("%w: not a machine image of this format (magic %q)", snapshot.ErrVersion, raw[:len(imgMagic)]))
+	}
+	r := snapshot.NewReader(raw[len(imgMagic) : len(raw)-4])
 	if v := r.U32(); v != imgVersion {
 		return nil, badf(fmt.Errorf("%w: image version %d, this build reads %d", snapshot.ErrVersion, v, imgVersion))
 	}
+	// The meta section is validated lazily by Boot (behind the sanity caps
+	// in decodeMeta); both sections are copied out, so the Image stays
+	// detached from raw.
 	meta := r.Bytes32()
-	nframes := r.U32()
-	if err := r.Err(); err != nil {
+	base, err := mem.DecodeBase(r)
+	if err == nil && r.Remaining() != 0 {
+		err = snapshot.Corruptf("%d trailing bytes after frame section", r.Remaining())
+	}
+	if err != nil {
 		return nil, badf(err)
 	}
-	if nframes == 0 || nframes > (1<<30)/mem.PageSize {
-		return nil, badf(snapshot.Corruptf("image claims %d frames", nframes))
-	}
-	frames := make([][]byte, nframes)
-	nonzero := r.U32()
-	if nonzero > nframes {
-		return nil, badf(snapshot.Corruptf("%d nonzero frames of %d", nonzero, nframes))
-	}
-	for i := uint32(0); i < nonzero; i++ {
-		f := r.U32()
-		if f >= nframes {
-			return nil, badf(snapshot.Corruptf("frame %d out of range", f))
-		}
-		pg := r.Raw(mem.PageSize)
-		if len(pg) == mem.PageSize {
-			cp := make([]byte, mem.PageSize)
-			copy(cp, pg)
-			frames[f] = cp
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, badf(err)
-	}
-	if r.Remaining() != 0 {
-		return nil, badf(snapshot.Corruptf("%d trailing bytes after frame section", r.Remaining()))
-	}
-	// The meta section is validated lazily by Boot (it runs the same decoder
-	// Restore does, behind the same sanity caps); a copy keeps the Image
-	// detached from the caller's buffer.
-	metaCp := make([]byte, len(meta))
-	copy(metaCp, meta)
-	return &Image{meta: metaCp, base: mem.NewBase(frames)}, nil
+	return &Image{meta: meta, base: base}, nil
 }

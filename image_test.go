@@ -9,11 +9,13 @@ package splitmem_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
 
 	"splitmem"
+	"splitmem/internal/workloads"
 )
 
 // isoSrc dirties its stack page, blocks on stdin, then hammers the same
@@ -199,6 +201,82 @@ func TestImageBootMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// TestImageCanonicalBytes: the serialized image is a pure function of
+// architectural state. A cold machine (whose overlay holds materialized
+// frames that are all zero) and the machine booted from its written image
+// write byte-identical images, and Snapshot writes exactly the bytes of
+// Image followed by WriteTo on both.
+func TestImageCanonicalBytes(t *testing.T) {
+	prog, ok := workloads.Lookup("gzip")
+	if !ok {
+		t.Fatal("gzip workload missing from catalog")
+	}
+	cold, err := splitmem.New(splitmem.Config{Protection: splitmem.ProtSplit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	p, err := cold.LoadAsm(prog.Src, prog.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.StdinWrite([]byte(prog.Input))
+	p.StdinClose()
+	if res := cold.Run(3_000_000); res.Reason != splitmem.ReasonBudget {
+		t.Fatalf("gzip parked with reason %v, want budget", res.Reason)
+	}
+	materialized := cold.Stats().MemPrivateFrames
+
+	// written returns m's Snapshot after checking that taking it left the
+	// frames unsealed and that it equals Image+WriteTo.
+	written := func(name string, m *splitmem.Machine) []byte {
+		t.Helper()
+		base := m.SharedBase()
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.SharedBase() != base {
+			t.Fatalf("%s: Snapshot sealed the machine's frames", name)
+		}
+		img, err := m.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := img.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap, buf.Bytes()) {
+			t.Fatalf("%s: Snapshot (%d bytes) differs from Image+WriteTo (%d bytes)", name, len(snap), buf.Len())
+		}
+		return snap
+	}
+	want := written("cold", cold)
+
+	// Header: magic (8), version (4), meta length (4), meta, frame count
+	// (4), nonzero-frame count (4).
+	metaLen := binary.LittleEndian.Uint32(want[12:16])
+	nonzero := binary.LittleEndian.Uint32(want[16+metaLen+4:])
+	if uint32(materialized) <= nonzero {
+		t.Fatalf("cold machine materialized %d frames, image holds %d: no all-zero frame to skip, test is vacuous",
+			materialized, nonzero)
+	}
+
+	img, err := splitmem.ReadImage(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	booted, err := img.Boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer booted.Close()
+	if got := written("booted", booted); !bytes.Equal(want, got) {
+		t.Fatalf("booted machine writes %d bytes, its cold source %d", len(got), len(want))
+	}
+}
+
 // TestImageRoundTrip: WriteTo/ReadImage preserve the image exactly — a
 // machine booted from the deserialized copy snapshots byte-identical to one
 // booted from the original, and ReadFrom fills a zero Image the same way.
@@ -250,7 +328,7 @@ func TestImageRoundTrip(t *testing.T) {
 
 // TestImageRejectsCorruption: every corruption — truncation anywhere, a bit
 // flip anywhere — is rejected by ReadImage with ErrBadImage before any
-// machine state is built.
+// machine state is built, and the transfer gate alone catches a flip.
 func TestImageRejectsCorruption(t *testing.T) {
 	m := parkedMachine(t)
 	defer m.Close()
@@ -277,6 +355,20 @@ func TestImageRejectsCorruption(t *testing.T) {
 		mut[pos] ^= 0x10
 		if _, err := splitmem.ReadImage(bytes.NewReader(mut)); !errors.Is(err, splitmem.ErrBadImage) {
 			t.Errorf("bit flip at %d: err %v, want ErrBadImage", pos, err)
+		}
+	}
+	// The transfer gate alone must catch a flip anywhere, the header (magic,
+	// version, meta length) and the trailer included: it passes intact
+	// images of another format version on, so a flipped magic or version
+	// must not read as one.
+	for _, pos := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+		len(wire) - 4, len(wire) - 3, len(wire) - 2, len(wire) - 1} {
+		for bit := 0; bit < 8; bit++ {
+			mut := bytes.Clone(wire)
+			mut[pos] ^= 1 << bit
+			if err := splitmem.VerifyImage(mut); !errors.Is(err, splitmem.ErrSnapshotCorrupt) {
+				t.Errorf("bit %d of byte %d: gate verdict %v, want ErrSnapshotCorrupt", bit, pos, err)
+			}
 		}
 	}
 }
@@ -307,12 +399,7 @@ func TestImageBootRejectsBadMeta(t *testing.T) {
 	for off := 40; off < 300; off += 20 {
 		mut := bytes.Clone(wire)
 		mut[off] ^= 0xFF
-		body := mut[:len(mut)-4]
-		crc := splitmem.SnapshotChecksum(body)
-		mut[len(mut)-4] = byte(crc)
-		mut[len(mut)-3] = byte(crc >> 8)
-		mut[len(mut)-2] = byte(crc >> 16)
-		mut[len(mut)-1] = byte(crc >> 24)
+		patchChecksum(mut)
 		img2, err := splitmem.ReadImage(bytes.NewReader(mut))
 		if err != nil {
 			if !errors.Is(err, splitmem.ErrBadImage) {

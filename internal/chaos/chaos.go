@@ -511,9 +511,10 @@ func (j *Jitter) Scale(d time.Duration) time.Duration {
 // CorruptCheckpoint flips one stream-drawn bit of a checkpoint image in
 // transit and reports whether it did. The flip position is drawn even for
 // empty images (to keep the stream aligned across runs that differ only in
-// checkpoint presence) but nothing is modified then. The snapshot trailer
-// CRC must catch every corruption this injects — that is the property the
-// cluster chaos cell pins. A nil injector never corrupts.
+// checkpoint presence) but nothing is modified then. The machine image's
+// trailer CRC, checked by splitmem.VerifyImage, must catch every corruption
+// this injects — that is the property the cluster chaos cell pins. A nil
+// injector never corrupts.
 func (ci *ClusterInjector) CorruptCheckpoint(img []byte) bool {
 	if ci == nil {
 		return false

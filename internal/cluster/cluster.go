@@ -16,7 +16,7 @@
 //     uninterrupted single-node run: the deterministic simulation plus the
 //     EventsSince cursor make replayed prefixes skippable, so the client
 //     never sees a duplicated or missing event line.
-//   - A checkpoint corrupted in transit is caught by the snapshot image's
+//   - A checkpoint corrupted in transit is caught by the machine image's
 //     own trailer CRC and refetched — a corrupt image is never resumed.
 //   - A migrated job runs on exactly one replica at a time: detach is
 //     atomic first-wins on the source, and resume is idempotent per

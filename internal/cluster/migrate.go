@@ -85,7 +85,7 @@ func (g *Gateway) detachUpstream(r *Replica, upstreamID uint64, j *gwJob) (*resu
 		if len(exp.Checkpoint) == 0 {
 			return &resumeSpec{}, true
 		}
-		if verr := splitmem.VerifySnapshot(exp.Checkpoint); verr != nil {
+		if verr := splitmem.VerifyImage(exp.Checkpoint); verr != nil {
 			g.noteCorruptCheckpoint(r, upstreamID, j.trace, len(exp.Checkpoint), exp.Cycles, verr)
 			continue
 		}
@@ -228,10 +228,12 @@ func (g *Gateway) fetchVerified(ctx context.Context, rep *Replica, upstream uint
 		if len(exp.Checkpoint) == 0 {
 			return &resumeSpec{} // no checkpoint yet: scratch resume
 		}
-		if verr := splitmem.VerifySnapshot(exp.Checkpoint); verr != nil {
+		if verr := splitmem.VerifyImage(exp.Checkpoint); verr != nil {
 			// The transfer was corrupted on the wire (or by the chaos
 			// injector standing in for the wire). The CRC gate catches it;
-			// refetch. NEVER resume a corrupt image.
+			// refetch. NEVER resume a corrupt image. An intact image in
+			// another format version is shipped as is: the target either
+			// reads it or restarts the job from cycle 0.
 			g.noteCorruptCheckpoint(rep, upstream, j.trace, len(exp.Checkpoint), exp.Cycles, verr)
 			continue
 		}

@@ -306,7 +306,7 @@ func TestHedgedFetchPrevHopWins(t *testing.T) {
 	if spec == nil || len(spec.checkpoint) == 0 {
 		t.Fatal("hedged fetch returned no checkpoint")
 	}
-	if err := splitmem.VerifySnapshot(spec.checkpoint); err != nil {
+	if err := splitmem.VerifyImage(spec.checkpoint); err != nil {
 		t.Fatalf("winning checkpoint fails the CRC gate: %v", err)
 	}
 	if elapsed >= 3*time.Second {

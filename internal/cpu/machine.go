@@ -490,12 +490,6 @@ func (m *Machine) EncodeState(w *snapshot.Writer) {
 	w.U64(m.Stats.DebugTraps)
 	w.U64(m.Stats.Interrupts)
 	w.U64(m.Stats.CtxSwitches)
-	// Zero placeholders for the removed predecode cache's three counters:
-	// the v2 layout keeps them so images written before the removal (a
-	// running cluster's journaled checkpoints, say) still restore.
-	w.U64(0)
-	w.U64(0)
-	w.U64(0)
 	w.U64(m.Stats.SuperblockCompiled)
 	w.U64(m.Stats.SuperblockEntered)
 	w.U64(m.Stats.SuperblockSideExits)
@@ -522,10 +516,6 @@ func (m *Machine) DecodeState(r *snapshot.Reader) error {
 	m.Stats.DebugTraps = r.U64()
 	m.Stats.Interrupts = r.U64()
 	m.Stats.CtxSwitches = r.U64()
-	// The removed predecode cache's counters; see EncodeState.
-	r.U64()
-	r.U64()
-	r.U64()
 	m.Stats.SuperblockCompiled = r.U64()
 	m.Stats.SuperblockEntered = r.U64()
 	m.Stats.SuperblockSideExits = r.U64()

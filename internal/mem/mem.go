@@ -51,10 +51,10 @@ func (e *FrameError) Error() string {
 }
 
 // Base is an immutable set of frame contents shareable across machines. A nil
-// entry means the frame is all-zero. Bases are created by Physical.Seal (or
-// assembled from a decoded image) and must never be written after creation;
-// machines attached to a Base copy frames into their private overlay before
-// the first store (copy-on-write).
+// entry means the frame is all-zero. Bases are created by Physical.Seal or
+// DecodeBase and must never be written after creation; machines attached to
+// a Base copy frames into their private overlay before the first store
+// (copy-on-write).
 //
 // The reference count tracks attached Physicals only. It is atomic so that
 // machines in different goroutines (fleet workers, serve jobs) can attach and
@@ -63,13 +63,6 @@ func (e *FrameError) Error() string {
 type Base struct {
 	frames [][]byte
 	refs   atomic.Int32
-}
-
-// NewBase builds a Base from per-frame contents, taking ownership of the
-// slice. Entries may be nil (all-zero frame); non-nil entries must be exactly
-// PageSize long and must not be mutated afterwards.
-func NewBase(frames [][]byte) *Base {
-	return &Base{frames: frames}
 }
 
 // NumFrames returns the number of frames the Base covers.
@@ -155,11 +148,10 @@ func NewPhysical(size int) (*Physical, error) {
 }
 
 // BootPhysical builds a Physical attached to base b with allocator state mt —
-// the Image boot fast path. No allocator arrays are built or copied: the new
-// machine aliases the immutable Meta until its first allocator mutation
-// (ownMeta), exactly as its frames alias the Base until the first store. The
-// result is indistinguishable from NewPhysical + DecodeMeta-over-the-bytes-mt-
-// was-snapped-from + Attach(b).
+// how every machine booted from an Image gets its memory. No allocator
+// arrays are built or copied: the new machine aliases the immutable Meta
+// until its first allocator mutation (ownMeta), exactly as its frames alias
+// the Base until the first store.
 func BootPhysical(b *Base, mt *Meta) (*Physical, error) {
 	if b == nil || mt == nil || mt.nframes == 0 || b.NumFrames() != mt.nframes {
 		return nil, fmt.Errorf("mem: image frames and allocator meta do not match")
@@ -227,6 +219,16 @@ func (p *Physical) CowCopies() uint64 { return p.cowCopies }
 
 // Base returns the attached shared image, or nil for a cold machine.
 func (p *Physical) Base() *Base { return p.base }
+
+// View returns the current contents of frame f (nil when the frame is
+// all-zero or out of range) without affecting sharing or write generations.
+// The slice must not be written.
+func (p *Physical) View(f uint32) []byte {
+	if f >= p.nframes {
+		return nil
+	}
+	return p.view(f)
+}
 
 // view returns the current contents of frame f without affecting sharing or
 // write generations. nil means all-zero. The caller must have bounds-checked
@@ -309,28 +311,6 @@ func (p *Physical) Seal() *Base {
 	p.nshared = int(p.nframes)
 	p.nprivate = 0
 	return nb
-}
-
-// Attach shares every frame of the machine from the given Base, discarding
-// any current contents. The Base's frame count must match the machine's.
-func (p *Physical) Attach(b *Base) error {
-	if b == nil || b.NumFrames() != p.nframes {
-		got := uint32(0)
-		if b != nil {
-			got = b.NumFrames()
-		}
-		return fmt.Errorf("mem: base image has %d frames, machine has %d", got, p.nframes)
-	}
-	if p.base != nil {
-		p.base.refs.Add(-1)
-	}
-	p.base = b
-	b.refs.Add(1)
-	clear(p.priv)
-	p.frames = nil
-	p.nshared = int(p.nframes)
-	p.nprivate = 0
-	return nil
 }
 
 // Close detaches the machine from its Base image, releasing its reference.
@@ -579,101 +559,62 @@ func (p *Physical) EncodeMeta(w *snapshot.Writer) {
 	}
 }
 
-// EncodeFrames serializes the frame contents sparsely (only frames with at
-// least one nonzero byte), because a restored machine starts from all-zero
-// physical memory. Frames are read without going through Frame, which would
-// bump write generations and make Snapshot a mutation.
-func (p *Physical) EncodeFrames(w *snapshot.Writer) {
+// FrameSource is read-only access to frame contents: a sealed Base, or a
+// live Physical read without going through Frame (which would bump write
+// generations and make serializing a machine a mutation).
+type FrameSource interface {
+	NumFrames() uint32
+	View(f uint32) []byte
+}
+
+// EncodeFrames serializes src's frame contents sparsely: the frame count,
+// then every frame with at least one nonzero byte as its number and
+// contents. Frames that are all zero are skipped whether or not they are
+// materialized, so the bytes depend only on what the frames hold, never on
+// how a machine came to hold it (cold, forked, or booted from an image).
+func EncodeFrames(w *snapshot.Writer, src FrameSource) {
+	n := src.NumFrames()
+	w.U32(n)
 	var nonzero uint32
-	for f := uint32(0); f < p.nframes; f++ {
-		if frameNonzero(p.view(f)) {
+	for f := uint32(0); f < n; f++ {
+		if frameNonzero(src.View(f)) {
 			nonzero++
 		}
 	}
 	w.U32(nonzero)
-	for f := uint32(0); f < p.nframes; f++ {
-		if b := p.view(f); frameNonzero(b) {
+	for f := uint32(0); f < n; f++ {
+		if b := src.View(f); frameNonzero(b) {
 			w.U32(f)
 			w.Raw(b)
 		}
 	}
 }
 
-// EncodeState serializes the full allocator and frame state
-// (EncodeMeta followed by EncodeFrames; the byte format is unchanged from
-// the flat-storage era).
-func (p *Physical) EncodeState(w *snapshot.Writer) {
-	p.EncodeMeta(w)
-	p.EncodeFrames(w)
-}
-
-// DecodeMeta restores allocator state serialized by EncodeMeta into a freshly
-// constructed Physical of the same size. Frame contents are untouched; pair
-// with DecodeFrames or Attach.
-func (p *Physical) DecodeMeta(r *snapshot.Reader) error {
-	if n := r.U32(); n != p.nframes {
-		return snapshot.Corruptf("mem: frame count %d, machine has %d", n, p.nframes)
+// DecodeBase reads a section written by EncodeFrames into a new Base.
+func DecodeBase(r *snapshot.Reader) (*Base, error) {
+	n := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	p.ownMeta()
-	p.allocCnt = r.U64()
-	p.faults = r.U64()
-	nfree := r.U32()
-	if nfree >= p.nframes {
-		return snapshot.Corruptf("mem: free list of %d frames", nfree)
+	if n == 0 || n > (1<<30)/PageSize {
+		return nil, snapshot.Corruptf("mem: image claims %d frames", n)
 	}
-	p.free = p.free[:0]
-	for i := uint32(0); i < nfree; i++ {
-		f := r.U32()
-		if f == 0 || f >= p.nframes {
-			return snapshot.Corruptf("mem: free frame %d out of range", f)
-		}
-		p.free = append(p.free, f)
-	}
-	for f := range p.refs {
-		p.refs[f] = r.U16()
-	}
-	for f := range p.gens {
-		p.gens[f] = r.U64()
-	}
-	return r.Err()
-}
-
-// DecodeFrames restores frame contents serialized by EncodeFrames,
-// discarding any current contents (and detaching from any Base).
-func (p *Physical) DecodeFrames(r *snapshot.Reader) error {
-	p.Close()
-	p.frames = nil
-	p.nprivate = 0
 	nonzero := r.U32()
-	if nonzero > p.nframes {
-		return snapshot.Corruptf("mem: %d nonzero frames of %d", nonzero, p.nframes)
+	if nonzero > n {
+		return nil, snapshot.Corruptf("mem: %d nonzero frames of %d", nonzero, n)
 	}
+	frames := make([][]byte, n)
 	for i := uint32(0); i < nonzero; i++ {
 		f := r.U32()
-		if f >= p.nframes {
-			return snapshot.Corruptf("mem: frame %d out of range", f)
+		if f >= n {
+			return nil, snapshot.Corruptf("mem: frame %d out of range", f)
 		}
-		raw := r.Raw(PageSize)
-		if len(raw) == PageSize {
-			pg := make([]byte, PageSize)
-			copy(pg, raw)
-			if p.frames == nil {
-				p.frames = make([][]byte, p.nframes)
-			}
-			p.frames[f] = pg
-			p.nprivate++
-		}
+		frames[f] = r.Raw(PageSize)
 	}
-	return r.Err()
-}
-
-// DecodeState restores state serialized by EncodeState into a freshly
-// constructed Physical of the same size.
-func (p *Physical) DecodeState(r *snapshot.Reader) error {
-	if err := p.DecodeMeta(r); err != nil {
-		return err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	return p.DecodeFrames(r)
+	return &Base{frames: frames}, nil
 }
 
 // Meta is a decoded, immutable copy of the allocator state EncodeMeta
@@ -714,6 +655,43 @@ func (p *Physical) SnapMeta() *Meta {
 		refs:     append([]uint16(nil), p.refs...),
 		gens:     append([]uint64(nil), p.gens...),
 	}
+}
+
+// DecodeMeta reads a section written by EncodeMeta as an immutable Meta.
+func DecodeMeta(r *snapshot.Reader) (*Meta, error) {
+	n := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n == 0 || n > (1<<30)/PageSize {
+		return nil, snapshot.Corruptf("mem: implausible frame count %d", n)
+	}
+	mt := &Meta{nframes: n, allocCnt: r.U64(), faults: r.U64()}
+	nfree := r.U32()
+	if nfree >= n {
+		return nil, snapshot.Corruptf("mem: free list of %d frames", nfree)
+	}
+	mt.free = make([]uint32, nfree)
+	for i := range mt.free {
+		mt.free[i] = r.U32()
+	}
+	mt.refs = make([]uint16, n)
+	for f := range mt.refs {
+		mt.refs[f] = r.U16()
+	}
+	mt.gens = make([]uint64, n)
+	for f := range mt.gens {
+		mt.gens[f] = r.U64()
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	for _, f := range mt.free {
+		if f == 0 || f >= n {
+			return nil, snapshot.Corruptf("mem: free frame %d out of range", f)
+		}
+	}
+	return mt, nil
 }
 
 // SkipMeta advances the reader past a section written by EncodeMeta without

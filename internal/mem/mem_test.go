@@ -1,9 +1,13 @@
 package mem
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"splitmem/internal/snapshot"
 )
 
 func TestNewPhysicalValidation(t *testing.T) {
@@ -228,5 +232,47 @@ func TestQuickAllocUnique(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameSectionCanonical: the frame section depends only on frame
+// contents. A materialized all-zero frame is skipped like a never-touched
+// one, the decoded Base holds exactly the nonzero frames, and re-encoding
+// the Base reproduces the bytes; a truncated section fails typed.
+func TestFrameSectionCanonical(t *testing.T) {
+	p, err := NewPhysical(8 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetByte(3*PageSize+5, 0xAB)
+	p.SetByte(5*PageSize, 1)
+	p.SetByte(5*PageSize, 0) // materialized, but all zero again
+	w := snapshot.NewWriter()
+	EncodeFrames(w, p)
+	enc := w.Bytes()
+	if want := 4 + 4 + 4 + PageSize; len(enc) != want {
+		t.Fatalf("section is %d bytes, want %d (one nonzero frame)", len(enc), want)
+	}
+
+	b, err := DecodeBase(snapshot.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := uint32(0); f < b.NumFrames(); f++ {
+		if got := b.View(f) != nil; got != (f == 3) {
+			t.Errorf("frame %d decoded present=%v", f, got)
+		}
+	}
+	if b.View(3)[5] != 0xAB {
+		t.Fatal("frame 3 contents lost")
+	}
+	w2 := snapshot.NewWriter()
+	EncodeFrames(w2, b)
+	if !bytes.Equal(enc, w2.Bytes()) {
+		t.Fatal("re-encoding the decoded base changed the bytes")
+	}
+
+	if _, err := DecodeBase(snapshot.NewReader(enc[:len(enc)-1])); !errors.Is(err, snapshot.ErrTruncated) {
+		t.Fatalf("truncated section: err %v, want ErrTruncated", err)
 	}
 }

@@ -6,7 +6,7 @@ package serve
 // the service surface —
 //
 //	GET  /v1/jobs/{id}/checkpoint[?detach=1]  export the job's latest
-//	     CRC'd snapshot image (plus the original submission body). With
+//	     CRC'd machine image (plus the original submission body). With
 //	     detach=1 the job is atomically detached: it stops with the typed
 //	     "migrated" terminal frame and will not run here again, so exactly
 //	     one replica owns a job at any instant.
@@ -68,13 +68,13 @@ func (lj *liveJob) attach(cancel context.CancelCauseFunc) (detached bool) {
 }
 
 // CheckpointExport is the wire form of a checkpoint fetch: everything a
-// peer needs to resume the job, CRC'd end to end (the snapshot image
-// carries its own trailer checksum; VerifySnapshot is the transfer gate).
+// peer needs to resume the job, CRC'd end to end (the machine image
+// carries its own trailer checksum; VerifyImage is the transfer gate).
 type CheckpointExport struct {
 	ID         uint64          `json:"id"`
 	Name       string          `json:"name,omitempty"`
 	Job        json.RawMessage `json:"job"`
-	Checkpoint []byte          `json:"checkpoint,omitempty"` // base64 snapshot image
+	Checkpoint []byte          `json:"checkpoint,omitempty"` // base64 machine image
 	Cycles     uint64          `json:"cycles,omitempty"`
 	Detached   bool            `json:"detached"`
 }
@@ -311,9 +311,11 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 	// The transfer-integrity gate: a checkpoint that was corrupted on the
 	// wire fails its own CRC here and is rejected before anything runs —
-	// a corrupt image is refetched by the gateway, never resumed.
+	// a corrupt image is refetched by the gateway, never resumed. An intact
+	// checkpoint in another format version (shipped across an upgrade) is
+	// adopted: its restore fails and the job restarts from cycle 0.
 	if len(rr.Checkpoint) > 0 {
-		if verr := splitmem.VerifySnapshot(rr.Checkpoint); verr != nil {
+		if verr := splitmem.VerifyImage(rr.Checkpoint); verr != nil {
 			s.badInput.Add(1)
 			httpError(w, http.StatusBadRequest, "bad-checkpoint", verr.Error(), nil)
 			return

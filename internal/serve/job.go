@@ -105,7 +105,7 @@ type ResumeRequest struct {
 	// through DecodeJob exactly like a journal record.
 	Job json.RawMessage `json:"job"`
 
-	Checkpoint []byte `json:"checkpoint,omitempty"` // base64 snapshot image (may be empty)
+	Checkpoint []byte `json:"checkpoint,omitempty"` // base64 machine image (may be empty)
 	Cycles     uint64 `json:"cycles,omitempty"`     // simulated cycles consumed at that checkpoint
 	Cursor     int    `json:"cursor,omitempty"`     // event lines already delivered to the client
 

@@ -91,7 +91,7 @@ const (
 
 const (
 	recJob        = 1 // a job admitted: id + raw submission body
-	recCheckpoint = 2 // a checkpoint: id + cycles consumed + snapshot image
+	recCheckpoint = 2 // a checkpoint: id + cycles consumed + machine image
 	recDone       = 3 // a terminal result: id + result JSON
 
 	// maxJournalRecord bounds a single record so a corrupt length field
@@ -103,7 +103,7 @@ const (
 type journalJob struct {
 	ID         uint64
 	Body       []byte // raw submission JSON (replayed through DecodeJob)
-	Checkpoint []byte // latest snapshot image, nil before the first checkpoint
+	Checkpoint []byte // latest machine image, nil before the first checkpoint
 	Cycles     uint64 // simulated cycles consumed at that checkpoint
 }
 

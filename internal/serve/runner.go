@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -209,8 +210,9 @@ func (s *Server) runAttempt(ctx context.Context, j *job, sup *supervision) (err 
 	}
 
 	// Build the machine: from the checkpoint image when one exists, from the
-	// program otherwise. A checkpoint that fails to restore (torn journal
-	// image adopted before the tear was detected) falls back to a fresh
+	// program otherwise. A checkpoint that fails to restore (a torn journal
+	// image adopted before the tear was detected, or one written in an
+	// older format by a build before an upgrade) falls back to a fresh
 	// start — losing progress, never the job.
 	var (
 		m    *splitmem.Machine
@@ -228,8 +230,11 @@ func (s *Server) runAttempt(ctx context.Context, j *job, sup *supervision) (err 
 	if sup.img != nil {
 		rspan := s.rec.Begin(j.trace, "rep.restore",
 			"cycles", strconv.FormatUint(sup.cycles, 10), "bytes", strconv.Itoa(len(sup.img)))
-		if rm, rerr := splitmem.Restore(sup.img); rerr == nil {
-			m = rm
+		img, rerr := splitmem.ReadImage(bytes.NewReader(sup.img))
+		if rerr == nil {
+			m, rerr = img.Boot()
+		}
+		if rerr == nil {
 			used = sup.cycles
 			s.restores.Add(1)
 			s.rec.End(rspan)

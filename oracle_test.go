@@ -192,9 +192,9 @@ func pseudoCycle(name string, span uint64) uint64 {
 
 // runWorkloadResumed is runWorkload interrupted by a checkpoint: the machine
 // runs for roughly snapAt cycles, is serialized with Snapshot, discarded,
-// rebuilt with Restore, and resumed to completion. Along the way it also
-// proves the image is a fixed point: snapshotting the restored machine must
-// reproduce the original image byte for byte.
+// rebuilt with ReadImage and Boot, and resumed to completion. Along the way
+// it also proves the image is a fixed point: snapshotting the restored
+// machine must reproduce the original image byte for byte.
 func runWorkloadResumed(t *testing.T, prog workloads.Program, cfg splitmem.Config, snapAt uint64) workloadDigest {
 	t.Helper()
 	m, err := splitmem.New(cfg)
@@ -220,9 +220,13 @@ func runWorkloadResumed(t *testing.T, prog workloads.Program, cfg splitmem.Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := splitmem.Restore(img)
+	decoded, err := splitmem.ReadImage(bytes.NewReader(img))
 	if err != nil {
-		t.Fatalf("restore at cycle %d: %v", snapAt, err)
+		t.Fatalf("read image at cycle %d: %v", snapAt, err)
+	}
+	m2, err := decoded.Boot()
+	if err != nil {
+		t.Fatalf("boot at cycle %d: %v", snapAt, err)
 	}
 	img2, err := m2.Snapshot()
 	if err != nil {

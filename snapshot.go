@@ -1,56 +1,50 @@
 package splitmem
 
-// Checkpoint/restore. Snapshot serializes the entire machine — CPU register
-// file and counters, every physical frame (including split code/data twins),
-// pagetables, both TLBs with their deliberately desynchronized contents and
-// restriction state, the kernel (process table, run queue, pipes, event ring
-// with lifetime cursors), the protection engine's state, the execution-trace
-// ring, and the chaos injector's PRNG stream — such that Restore resumes the
+// Machine-state serialization. A machine's complete architectural state has
+// one wire format, the Image format (image.go): a metadata section encoded
+// here, followed by the nonzero physical frames. Together they capture the
+// CPU register file and counters, every physical frame (split code/data
+// twins included) with the allocator's free-list order, refcounts and write
+// generations, pagetables, both TLBs with their deliberately desynchronized
+// contents and restriction state, the kernel (process table, run queue,
+// pipes, event ring with lifetime cursors), the protection engine's state,
+// the execution-trace ring, and the chaos injector's PRNG stream — such that
+// a machine booted from the bytes (ReadImage, then Image.Boot) resumes the
 // exact retired-instruction stream the uninterrupted machine would have
-// produced. The format is versioned, checksummed (one CRC32 over the whole
-// image), and a pure function of machine state: maps are serialized in
-// sorted order and the TLBs positionally, so identical machines produce
-// identical images.
+// produced. Encoding is a pure function of machine state: maps are
+// serialized in sorted order, the TLBs positionally, and all-zero frames are
+// skipped, so identical machines produce identical bytes however they came
+// to be (cold-booted, forked, or booted from an image).
 //
 // Deliberately not captured:
 //
 //   - The superblock engine's compiled blocks: host-side acceleration
-//     state, rebuilt on demand. A restored machine starts cold (superblock
+//     state, rebuilt on demand. A booted machine starts cold (superblock
 //     regions re-prove hotness and recompile); only the host-only
 //     Superblock* counters can differ from an uninterrupted run.
+//   - Frame sharing: whether a frame is private or read through a shared
+//     base is host-side bookkeeping, so the Mem* sharing counters can
+//     differ too.
 //   - Telemetry spans and metrics: host-side observability, not guest
-//     state. A restored machine starts a fresh timeline.
+//     state. A booted machine starts a fresh timeline.
 //   - Config.EventHook: functions don't serialize; pass one to
-//     RestoreWithHook to re-attach.
+//     Image.BootWithHook to re-attach.
 
 import (
-	"fmt"
-
 	"splitmem/internal/mem"
 	"splitmem/internal/snapshot"
 )
 
-// snapMagic brands a snapshot image; snapVersion is bumped on any format
-// change (there is no cross-version decoding — a checkpoint is a short-lived
-// crash-recovery artifact, not an archival format).
-const (
-	snapMagic   = "S86SNAP\x00"
-	snapVersion = 2 // v2: NoSuperblocks in the config, Superblock* counters in cpu state
-)
-
-// encodeBody serializes the machine's architectural state into w in the
-// canonical section order. With frames=true the physical frame contents ride
-// along (the Snapshot format); with frames=false only the allocator metadata
-// does (the Image meta section — frame contents live in the shared
-// mem.Base instead).
-func (m *Machine) encodeBody(w *snapshot.Writer, frames bool) {
+// encodeMeta serializes the machine's architectural state, frame contents
+// aside, in the canonical section order: the Image metadata section. The
+// allocator section follows the config directly because decodeMeta needs
+// both to build the machine around its copy-on-write memory before it can
+// decode the rest.
+func (m *Machine) encodeMeta() []byte {
+	w := snapshot.NewWriter()
 	encodeConfig(w, &m.cfg)
+	m.mach.Phys.EncodeMeta(w)
 	m.mach.EncodeState(w)
-	if frames {
-		m.mach.Phys.EncodeState(w)
-	} else {
-		m.mach.Phys.EncodeMeta(w)
-	}
 	m.mach.ITLB.EncodeState(w)
 	m.mach.DTLB.EncodeState(w)
 	m.kern.EncodeState(w)
@@ -60,60 +54,30 @@ func (m *Machine) encodeBody(w *snapshot.Writer, frames bool) {
 	if m.inj != nil {
 		m.inj.EncodeState(w)
 	}
+	return w.Bytes()
 }
 
-// Snapshot serializes the machine's complete architectural state. Call it
-// only between Run/RunContext invocations (the scheduler parks the machine
-// at a timeslice boundary; mid-Step state is never observable from outside).
+// Snapshot serializes the machine's complete architectural state in the
+// Image wire format: the bytes are exactly those m.Image() followed by
+// WriteTo would produce at this instant. Read them back with ReadImage and
+// start a machine with Image.Boot. Call it only between Run/RunContext
+// invocations (the scheduler parks the machine at a timeslice boundary;
+// mid-Step state is never observable from outside).
 //
-// Snapshot predates the typed Image API and remains the wire format for
-// checkpoints; new code that wants to boot many machines from one parked
-// state should prefer Machine.Image / Machine.Fork, which share physical
-// frames copy-on-write instead of duplicating them.
+// Unlike Image, Snapshot reads the live frames without sealing them: a
+// periodic checkpoint must not turn the machine's every later store into a
+// copy-on-write unshare.
 func (m *Machine) Snapshot() ([]byte, error) {
-	w := snapshot.NewWriter()
-	w.Raw([]byte(snapMagic))
-	w.U32(snapVersion)
-	m.encodeBody(w, true)
-	w.U32(snapshot.Checksum(w.Bytes()))
-	return w.Bytes(), nil
+	return writeImage(m.encodeMeta(), m.mach.Phys), nil
 }
 
-// Restore builds a machine from a Snapshot image. Failures are classified:
-// errors.Is(err, snapshot.ErrTruncated / ErrCorrupt / ErrVersion) (via the
-// internal snapshot package's sentinels re-exported as SnapshotErr*).
-func Restore(image []byte) (*Machine, error) { return RestoreWithHook(image, nil) }
-
-// RestoreWithHook is Restore with an event hook re-attached to the restored
-// machine (hooks are functions and cannot live in the image).
-func RestoreWithHook(image []byte, hook func(Event)) (*Machine, error) {
-	if len(image) < len(snapMagic)+8 {
-		return nil, snapshot.ErrTruncated
-	}
-	if string(image[:len(snapMagic)]) != snapMagic {
-		return nil, snapshot.Corruptf("bad magic")
-	}
-	body := image[:len(image)-4]
-	want := snapshot.NewReader(image[len(image)-4:]).U32()
-	if got := snapshot.Checksum(body); got != want {
-		return nil, snapshot.Corruptf("checksum mismatch: image says %#x, content hashes to %#x", want, got)
-	}
-	r := snapshot.NewReader(body[len(snapMagic):])
-	if v := r.U32(); v != snapVersion {
-		return nil, fmt.Errorf("%w: image version %d, this build reads %d", snapshot.ErrVersion, v, snapVersion)
-	}
-	return decodeBody(r, hook, nil, nil)
-}
-
-// decodeBody rebuilds a machine from the canonical section sequence
-// (everything after the magic/version header). With base == nil the frame
-// contents are read inline (the Snapshot format); with a base the reader
-// carries only allocator metadata and the machine attaches to the shared
-// frames copy-on-write (the Image format). A non-nil pmeta is a cached decode
-// of that allocator metadata (it always comes from a prior decode of the same
-// bytes): the byte section is skipped and the allocator installed by copy,
-// which is what makes repeated boots from one Image cheap.
-func decodeBody(r *snapshot.Reader, hook func(Event), base *mem.Base, pmeta *mem.Meta) (*Machine, error) {
+// decodeMeta builds a machine from an Image metadata section, attached to
+// the image's shared frames copy-on-write. A non-nil pmeta is a cached
+// decode of the section's allocator metadata (it always comes from a prior
+// decode of the same bytes): that part of the section is skipped, which is
+// what makes repeated boots from one Image cheap.
+func decodeMeta(meta []byte, hook func(Event), base *mem.Base, pmeta *mem.Meta) (*Machine, error) {
+	r := snapshot.NewReader(meta)
 	cfg, err := decodeConfig(r)
 	if err != nil {
 		return nil, err
@@ -127,24 +91,27 @@ func decodeBody(r *snapshot.Reader, hook func(Event), base *mem.Base, pmeta *mem
 			cfg.PhysBytes, cfg.ITLBSize, cfg.DTLBSize, cfg.TraceDepth, cfg.TelemetrySpanCap)
 	}
 	cfg.EventHook = hook
-	// attached tracks a base-refcounted physical memory until the decode is
-	// known good, so a boot that fails partway never leaks a Base reference.
-	var attached *mem.Physical
+	if pmeta != nil {
+		err = mem.SkipMeta(r)
+	} else {
+		pmeta, err = mem.DecodeMeta(r)
+	}
+	if err != nil {
+		return nil, err
+	}
+	phys, err := mem.BootPhysical(base, pmeta)
+	if err != nil {
+		return nil, snapshot.Corruptf("%v", err)
+	}
+	// attached holds the Base reference until the decode is known good, so
+	// a boot that fails partway never leaks it.
+	attached := phys
 	defer func() {
 		if attached != nil {
 			attached.Close()
 		}
 	}()
-	var bootPhys *mem.Physical
-	if base != nil && pmeta != nil {
-		bp, err := mem.BootPhysical(base, pmeta)
-		if err != nil {
-			return nil, snapshot.Corruptf("%v", err)
-		}
-		bootPhys = bp
-		attached = bp
-	}
-	m, err := newMachine(cfg, bootPhys)
+	m, err := newMachine(cfg, phys)
 	if err != nil {
 		// The checksum passed, so the bytes decode; a config no machine
 		// accepts is still a corrupt image from the caller's point of view.
@@ -152,27 +119,6 @@ func decodeBody(r *snapshot.Reader, hook func(Event), base *mem.Base, pmeta *mem
 	}
 	if err := m.mach.DecodeState(r); err != nil {
 		return nil, err
-	}
-	switch {
-	case base == nil:
-		if err := m.mach.Phys.DecodeState(r); err != nil {
-			return nil, err
-		}
-	case pmeta != nil:
-		// The machine was built around a prebuilt copy-on-write attachment
-		// (bootPhys above); only keep the reader aligned with the canonical
-		// section sequence.
-		if err := mem.SkipMeta(r); err != nil {
-			return nil, err
-		}
-	default:
-		if err := m.mach.Phys.DecodeMeta(r); err != nil {
-			return nil, err
-		}
-		if err := m.mach.Phys.Attach(base); err != nil {
-			return nil, snapshot.Corruptf("%v", err)
-		}
-		attached = m.mach.Phys
 	}
 	if err := m.mach.ITLB.DecodeState(r); err != nil {
 		return nil, err
@@ -214,42 +160,17 @@ func decodeBody(r *snapshot.Reader, hook func(Event), base *mem.Base, pmeta *mem
 	return m, nil
 }
 
-// Snapshot error sentinels, re-exported so embedders can classify Restore
-// failures without importing the internal codec package.
+// Decode error sentinels, re-exported so embedders can classify ReadImage,
+// Boot and VerifyImage failures without importing the internal codec
+// package.
 var (
 	ErrSnapshotTruncated = snapshot.ErrTruncated
 	ErrSnapshotCorrupt   = snapshot.ErrCorrupt
 	ErrSnapshotVersion   = snapshot.ErrVersion
 )
 
-// SnapshotChecksum computes the integrity hash a valid image carries in its
-// trailer (CRC-32/IEEE over everything before it) — exposed for tools and
-// tests that inspect or patch images.
-func SnapshotChecksum(body []byte) uint32 { return snapshot.Checksum(body) }
-
-// VerifySnapshot checks an image's framing integrity — magic, minimum
-// length, and the trailer CRC over the whole body — without decoding any
-// state or allocating a machine. It is the cheap transfer-integrity gate for
-// checkpoint images shipped between processes (the cluster gateway verifies
-// every image it relays, and a replica re-verifies before resuming): a
-// corrupt image must be caught here and refetched, never handed to Restore.
-func VerifySnapshot(image []byte) error {
-	if len(image) < len(snapMagic)+8 {
-		return snapshot.ErrTruncated
-	}
-	if string(image[:len(snapMagic)]) != snapMagic {
-		return snapshot.Corruptf("bad magic")
-	}
-	body := image[:len(image)-4]
-	want := snapshot.NewReader(image[len(image)-4:]).U32()
-	if got := snapshot.Checksum(body); got != want {
-		return snapshot.Corruptf("checksum mismatch: image says %#x, content hashes to %#x", want, got)
-	}
-	return nil
-}
-
 // encodeConfig serializes every Config field except EventHook in a fixed
-// order. The config rides inside the image so Restore can rebuild an
+// order. The config rides inside the image so Boot can rebuild an
 // identical machine without the caller re-supplying (and possibly
 // mismatching) it.
 func encodeConfig(w *snapshot.Writer, cfg *Config) {
@@ -285,10 +206,6 @@ func encodeConfig(w *snapshot.Writer, cfg *Config) {
 	w.Int(cfg.ITLBSize)
 	w.Int(cfg.DTLBSize)
 	w.Int(cfg.PhysBytes)
-	// Placeholder for the removed decode-cache knob: the v2 layout keeps
-	// the slot so images written before the removal (a running cluster's
-	// journaled checkpoints, say) still restore.
-	w.Bool(false)
 	w.Bool(cfg.NoSuperblocks)
 	w.Int(cfg.TraceDepth)
 	w.Bool(cfg.Telemetry)
@@ -336,7 +253,6 @@ func decodeConfig(r *snapshot.Reader) (Config, error) {
 	cfg.ITLBSize = r.Int()
 	cfg.DTLBSize = r.Int()
 	cfg.PhysBytes = r.Int()
-	r.Bool() // the removed decode-cache knob; see encodeConfig
 	cfg.NoSuperblocks = r.Bool()
 	cfg.TraceDepth = r.Int()
 	cfg.Telemetry = r.Bool()

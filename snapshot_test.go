@@ -1,13 +1,15 @@
 package splitmem_test
 
-// Snapshot/restore unit tests: the image round-trips, corruption in any
-// byte is detected before any state is adopted, and the decoder survives
-// arbitrary hostile images (FuzzRestore). The full architectural-equivalence
-// proof lives in oracle_test.go (TestOracleSnapshot*).
+// Checkpoint unit tests: a Snapshot read back with ReadImage and booted
+// round-trips, corruption in any byte is detected before any state is
+// adopted, and the decoder survives arbitrary hostile images (FuzzRestore).
+// The full architectural-equivalence proof lives in oracle_test.go
+// (TestOracleSnapshot*).
 
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"splitmem"
@@ -45,15 +47,24 @@ func snapshotFixture(t testing.TB) []byte {
 	return img
 }
 
-// TestSnapshotRoundTrip: Restore(Snapshot(m)) yields a machine whose own
-// snapshot is byte-identical and whose continued run finishes like the
-// original.
+// restore boots a machine from checkpoint bytes: ReadImage, then Boot.
+func restore(b []byte) (*splitmem.Machine, error) {
+	img, err := splitmem.ReadImage(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	return img.Boot()
+}
+
+// TestSnapshotRoundTrip: a machine booted from Snapshot(m) re-serializes
+// byte-identically and its continued run finishes like the original.
 func TestSnapshotRoundTrip(t *testing.T) {
 	img := snapshotFixture(t)
-	m, err := splitmem.Restore(img)
+	m, err := restore(img)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	img2, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +105,14 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	for off := 0; off < len(img); off += 1 + len(img)/97 {
 		mut := append([]byte(nil), img...)
 		mut[off] ^= 0x40
-		if _, err := splitmem.Restore(mut); err == nil {
+		if _, err := restore(mut); err == nil {
 			t.Fatalf("corruption at offset %d went undetected", off)
 		}
 	}
 
 	// Truncations at every framing-relevant prefix length.
 	for _, n := range []int{0, 4, 8, 11, len(img) / 2, len(img) - 1} {
-		if _, err := splitmem.Restore(img[:n]); err == nil {
+		if _, err := restore(img[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
 	}
@@ -110,16 +121,21 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	mut := append([]byte(nil), img...)
 	mut[8] = 0xFF // version word follows the 8-byte magic
 	patchChecksum(mut)
-	_, err := splitmem.Restore(mut)
+	_, err := restore(mut)
 	if !errors.Is(err, splitmem.ErrSnapshotVersion) {
 		t.Fatalf("version skew produced %v, want ErrSnapshotVersion", err)
 	}
 
-	// Bad magic.
+	// Bad magic: corruption when the checksum disagrees, a foreign format
+	// (another build's checkpoint, say) when it matches.
 	mut = append([]byte(nil), img...)
 	mut[0] = 'X'
-	if _, err := splitmem.Restore(mut); !errors.Is(err, splitmem.ErrSnapshotCorrupt) {
+	if _, err := restore(mut); !errors.Is(err, splitmem.ErrSnapshotCorrupt) {
 		t.Fatalf("bad magic produced %v, want ErrSnapshotCorrupt", err)
+	}
+	patchChecksum(mut)
+	if _, err := restore(mut); !errors.Is(err, splitmem.ErrSnapshotVersion) {
+		t.Fatalf("foreign magic produced %v, want ErrSnapshotVersion", err)
 	}
 }
 
@@ -127,21 +143,22 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // the integrity check and exercise the decoder proper.
 func patchChecksum(img []byte) {
 	body := img[:len(img)-4]
-	sum := splitmem.SnapshotChecksum(body)
+	sum := crc32.ChecksumIEEE(body)
 	img[len(img)-4] = byte(sum)
 	img[len(img)-3] = byte(sum >> 8)
 	img[len(img)-2] = byte(sum >> 16)
 	img[len(img)-1] = byte(sum >> 24)
 }
 
-// FuzzRestore: the snapshot decoder must never panic, hang, or over-allocate
-// on hostile input — corrupt, truncated, version-skewed, or CRC-repaired
-// structurally-invalid images all fail with an error.
+// FuzzRestore: the checkpoint decoder (ReadImage + Boot) must never panic,
+// hang, or over-allocate on hostile input — corrupt, truncated,
+// version-skewed, or CRC-repaired structurally-invalid images all fail with
+// an error.
 func FuzzRestore(f *testing.F) {
 	img := snapshotFixture(f)
 	f.Add(img)
 	f.Add(img[:len(img)/2])
-	f.Add([]byte("S86SNAP\x00"))
+	f.Add([]byte("S86IMG\x00\x01"))
 	f.Add([]byte{})
 	// A CRC-valid but structurally mutated seed steers the fuzzer past the
 	// checksum into the section decoders.
@@ -152,10 +169,11 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := splitmem.Restore(data)
+		m, err := restore(data)
 		if err != nil {
 			return
 		}
+		defer m.Close()
 		// A decodable image must yield a machine that can serialize itself.
 		if _, err := m.Snapshot(); err != nil {
 			t.Fatalf("restored machine cannot re-snapshot: %v", err)
