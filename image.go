@@ -21,6 +21,8 @@ package splitmem
 // Wire format: magic, version, the length-prefixed metadata section
 // (snapshot.go), the frame count, the nonzero frames as (number, contents)
 // pairs in ascending order, and a CRC-32 trailer over everything before it.
+// The writer makes one pass over the frames, testing each for a nonzero
+// byte a word at a time, and sizes its buffer once for all of it.
 
 import (
 	"bytes"
@@ -139,11 +141,13 @@ func (img *Image) WriteTo(dst io.Writer) (int64, error) {
 // writeImage is the one Image writer, shared by WriteTo (frames from the
 // sealed base) and Snapshot (frames read live from a machine).
 func writeImage(meta []byte, frames mem.FrameSource) []byte {
+	sec := mem.ScanFrames(frames)
 	w := snapshot.NewWriter()
+	w.Grow(len(imgMagic) + 4 + 4 + len(meta) + sec.Len() + 4)
 	w.Raw([]byte(imgMagic))
 	w.U32(imgVersion)
 	w.Bytes32(meta)
-	mem.EncodeFrames(w, frames)
+	sec.Encode(w)
 	w.U32(snapshot.Checksum(w.Bytes()))
 	return w.Bytes()
 }

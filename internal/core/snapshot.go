@@ -62,6 +62,7 @@ func (e *Engine) EncodeProcState(p *kernel.Process, w *snapshot.Writer) {
 		vpns = append(vpns, vpn)
 	}
 	sort.Slice(vpns, func(a, b int) bool { return vpns[a] < vpns[b] })
+	w.Grow(4 + 13*len(vpns))
 	w.U32(uint32(len(vpns)))
 	for _, vpn := range vpns {
 		pr := st.pairs[vpn]

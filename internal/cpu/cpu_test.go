@@ -8,6 +8,7 @@ import (
 	"splitmem/internal/isa"
 	"splitmem/internal/mem"
 	"splitmem/internal/paging"
+	"splitmem/internal/tlb"
 )
 
 // testHandler is a scripted trap handler for direct machine tests.
@@ -358,6 +359,50 @@ func TestFaultDelivery(t *testing.T) {
 		}
 		pf := h.pageFaults[0]
 		if !pf.IsWrite() || !pf.IsProtection() {
+			t.Fatalf("pf=%+v", pf)
+		}
+	})
+	t.Run("write to read-only on a DTLB hit", func(t *testing.T) {
+		ins := []isa.Instr{
+			{Op: isa.OpMovImm, R1: isa.EBX, Imm: codeBase},
+			{Op: isa.OpLoad, R1: isa.EAX, R2: isa.EBX}, // caches the read-only entry
+			{Op: isa.OpStore, R1: isa.EBX, R2: isa.EAX},
+		}
+		m, h := newTestMachine(t, asmBytes(ins...))
+		stepN(t, m, 2)
+		hits0, misses0, _, _ := m.DTLB.Stats()
+		if m.Step() != StepStopped || len(h.pageFaults) != 1 {
+			t.Fatal("expected one page fault")
+		}
+		if hits, misses, _, _ := m.DTLB.Stats(); hits != hits0+1 || misses != misses0 {
+			t.Fatalf("the store was not a DTLB hit: hits %d->%d, misses %d->%d", hits0, hits, misses0, misses)
+		}
+		if pf := h.pageFaults[0]; pf.Code != PFUser|PFPresent|PFWrite || pf.Addr != codeBase {
+			t.Fatalf("pf=%+v", pf)
+		}
+	})
+	t.Run("read of a supervisor entry on a DTLB hit", func(t *testing.T) {
+		m, h := newTestMachine(t, asmBytes(
+			isa.Instr{Op: isa.OpMovImm, R1: isa.EBX, Imm: dataBase},
+			isa.Instr{Op: isa.OpLoad, R1: isa.EAX, R2: isa.EBX},
+		))
+		m.LoadDTLB(dataVPN, tlb.Entry{Frame: m.Pagetable().Get(dataVPN).Frame()}) // User clear
+		stepN(t, m, 1)
+		if m.Step() != StepStopped || len(h.pageFaults) != 1 {
+			t.Fatal("expected one page fault")
+		}
+		if pf := h.pageFaults[0]; pf.Code != PFUser|PFPresent || pf.Addr != dataBase {
+			t.Fatalf("pf=%+v", pf)
+		}
+	})
+	t.Run("fetch of an NX entry on an ITLB hit", func(t *testing.T) {
+		m, h := newTestMachine(t, asmBytes(isa.Instr{Op: isa.OpNop}))
+		m.NXEnabled = true
+		m.LoadITLB(codeVPN, tlb.Entry{Frame: m.Pagetable().Get(codeVPN).Frame(), User: true, NoExec: true})
+		if m.Step() != StepStopped || len(h.pageFaults) != 1 {
+			t.Fatal("expected one page fault")
+		}
+		if pf := h.pageFaults[0]; pf.Code != PFUser|PFPresent|PFFetch || pf.Addr != codeBase {
 			t.Fatalf("pf=%+v", pf)
 		}
 	})

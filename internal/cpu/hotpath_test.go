@@ -1,9 +1,12 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 
 	"splitmem/internal/isa"
+	"splitmem/internal/mem"
+	"splitmem/internal/paging"
 )
 
 // newHotMachine runs the hot loop nop; jmp with the superblock engine on,
@@ -45,6 +48,137 @@ func TestReSplitAllocFree(t *testing.T) {
 	if m.Stats.SuperblockEntered != s0.SuperblockEntered || m.Stats.SuperblockCompiled != s0.SuperblockCompiled {
 		t.Fatalf("a fetch after a drop entered (%d -> %d) or compiled (%d -> %d) a block",
 			s0.SuperblockEntered, m.Stats.SuperblockEntered, s0.SuperblockCompiled, m.Stats.SuperblockCompiled)
+	}
+}
+
+// TestHotPathAllocFree: a compiled block of load, store, push and pop
+// whose data accesses all hit the DTLB runs without allocating.
+func TestHotPathAllocFree(t *testing.T) {
+	m, _ := newTestMachineCfg(t, Config{PhysBytes: 1 << 20, Superblocks: true}, selfLoop(
+		isa.Instr{Op: isa.OpLoad, R1: isa.EDX, R2: isa.EBX},
+		isa.Instr{Op: isa.OpAddImm, R1: isa.EDX, Imm: 1},
+		isa.Instr{Op: isa.OpStore, R1: isa.EBX, R2: isa.EDX, Imm: 4},
+		isa.Instr{Op: isa.OpPush, R1: isa.EDX},
+		isa.Instr{Op: isa.OpPop, R1: isa.ECX},
+	))
+	m.Ctx.R[isa.EBX] = dataBase
+	run := func() {
+		m.SetSliceEnd(m.Cycles + 10000)
+		for m.Cycles < m.sliceEnd {
+			if m.StepSlice() != StepOK {
+				t.Fatalf("stopped at EIP=%#x", m.Ctx.EIP)
+			}
+		}
+	}
+	for m.Stats.SuperblockEntered == 0 {
+		run()
+	}
+	run()
+	_, misses0, _, _ := m.DTLB.Stats()
+	ent0, acc0 := m.Stats.SuperblockEntered, m.Stats.DataAccesses
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a slice of compiled loads, stores, pushes and pops allocated %.1f times", allocs)
+	}
+	if _, misses, _, _ := m.DTLB.Stats(); misses != misses0 {
+		t.Fatalf("%d DTLB misses in the measured slices, want none", misses-misses0)
+	}
+	if m.Stats.SuperblockEntered == ent0 || m.Stats.DataAccesses == acc0 {
+		t.Fatal("the measured slices ran no compiled data accesses")
+	}
+}
+
+// TestUncheckedLoopLockStep: the unchecked dispatch loop and the checked
+// one retire the same stream. The same program runs on two engine
+// machines, one with a no-op trace hook, which forces every block through
+// the checked loop, one without, and at every slice boundary both hold the
+// identical context, cycle count, Stats (host counters included) and TLB
+// state. The program loads, stores, pushes and pops, calls across a page,
+// stores into its own code frame mid-block every 64th iteration (a write-
+// generation side exit), and faults on a demand-mapped page every 8th;
+// slices alternate between long and 1-60 cycles, so blocks both fit and
+// cross the bound.
+func TestUncheckedLoopLockStep(t *testing.T) {
+	const lazyBase = 0x00100000 // demand-mapped: a new page every 8 iterations
+	smcAt, dataAt := uint32(codeBase+0x800), uint32(dataBase+8)
+	near := asmBytes(
+		isa.Instr{Op: isa.OpAddImm, R1: isa.EAX, Imm: 1},
+		isa.Instr{Op: isa.OpStore, R1: isa.EBX, R2: isa.EAX},
+		isa.Instr{Op: isa.OpLoad, R1: isa.EDX, R2: isa.EBX},
+		isa.Instr{Op: isa.OpPush, R1: isa.EDX},
+		isa.Instr{Op: isa.OpPop, R1: isa.ECX},
+		// ebp = smcAt on every 64th iteration, dataAt otherwise: the
+		// compiled block then stores into its own frame mid-block.
+		isa.Instr{Op: isa.OpMov, R1: isa.EBP, R2: isa.EAX},
+		isa.Instr{Op: isa.OpAndImm, R1: isa.EBP, Imm: 63},
+		isa.Instr{Op: isa.OpAddImm, R1: isa.EBP, Imm: 63},
+		isa.Instr{Op: isa.OpShr, R1: isa.EBP, Imm: 6},
+		isa.Instr{Op: isa.OpXorImm, R1: isa.EBP, Imm: 1},
+		isa.Instr{Op: isa.OpMulImm, R1: isa.EBP, Imm: smcAt - dataAt},
+		isa.Instr{Op: isa.OpAddImm, R1: isa.EBP, Imm: dataAt},
+		isa.Instr{Op: isa.OpStore, R1: isa.EBP, R2: isa.EAX},
+		isa.Instr{Op: isa.OpLoad, R1: isa.ESI, R2: isa.EDI}, // faults on a fresh page
+		isa.Instr{Op: isa.OpAddImm, R1: isa.EDI, Imm: 512},
+		isa.Instr{Op: isa.OpAndImm, R1: isa.EDI, Imm: lazyBase | 0x3FE00},
+	)
+	call := isa.Instr{Op: isa.OpCall}
+	call.Imm = rel32(codeBase+uint32(len(near)), isa.Len(call), farBase)
+	near = isa.Encode(near, call)
+	near = isa.Encode(near, isa.Instr{Op: isa.OpXor, R1: isa.ECX, R2: isa.EDX})
+	back := isa.Instr{Op: isa.OpJmp}
+	back.Imm = rel32(codeBase+uint32(len(near)), isa.Len(back), codeBase)
+	near = isa.Encode(near, back)
+	_, far := callProg()
+
+	newMachine := func(hooked bool) *Machine {
+		m, h := newChainMachine(t, true, near, far)
+		pt := m.Pagetable()
+		pt.Set(codeVPN, pt.Get(codeVPN).With(paging.Writable))
+		// The handler maps the faulting page and unmaps the one before it
+		// in the pagetable only, so the 64-page cycle keeps faulting once
+		// the LRU has evicted a page's stale DTLB entry.
+		data, prev := pt.Get(dataVPN), uint32(0)
+		h.onPageFault = func(addr, _ uint32) Action {
+			if addr&^(0x3F000|mem.PageMask) != lazyBase {
+				t.Fatalf("unexpected fault at %#x", addr)
+			}
+			pt.Set(prev, 0)
+			prev = addr >> mem.PageShift
+			pt.Set(prev, data)
+			return ActResume
+		}
+		m.Ctx.R[isa.EDI] = lazyBase
+		if hooked {
+			m.TraceHook = func(uint32, isa.Instr) {}
+		}
+		return m
+	}
+	plain, hooked := newMachine(false), newMachine(true)
+	for n := uint64(0); n < 2000; n++ {
+		length := uint64(1000)
+		if n%2 == 1 {
+			length = 1 + n%60
+		}
+		for _, m := range []*Machine{plain, hooked} {
+			end := m.Cycles + length
+			m.SetSliceEnd(end)
+			for m.Cycles < end {
+				if m.StepSlice() != StepOK {
+					t.Fatalf("stopped at EIP=%#x", m.Ctx.EIP)
+				}
+			}
+		}
+		if plain.Ctx != hooked.Ctx || plain.Cycles != hooked.Cycles || plain.Stats != hooked.Stats {
+			t.Fatalf("slice %d: unchecked and checked runs diverge:\nunchecked %+v cycles %d %+v\nchecked   %+v cycles %d %+v",
+				n, plain.Ctx, plain.Cycles, plain.Stats, hooked.Ctx, hooked.Cycles, hooked.Stats)
+		}
+		if !bytes.Equal(encodeTLBs(plain), encodeTLBs(hooked)) {
+			t.Fatalf("slice %d: TLB state diverges", n)
+		}
+	}
+	s := plain.Stats
+	if s.SuperblockEntered == 0 || s.SuperblockSideExits == 0 || s.PageFaults == 0 {
+		t.Fatalf("the run entered %d blocks with %d side exits and %d page faults; it must exercise all three",
+			s.SuperblockEntered, s.SuperblockSideExits, s.PageFaults)
 	}
 }
 

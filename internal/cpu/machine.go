@@ -391,22 +391,35 @@ func (m *Machine) Invlpg(addr uint32) {
 
 // Translate resolves a user-mode access to a physical address, filling the
 // appropriate TLB on a miss. On failure it returns the page fault to raise.
+// A hit in the slot the TLB's hint cell names costs no further call; a
+// hint collision, a miss and its pagetable walk do (tlb.Lookup,
+// translateMiss).
 func (m *Machine) Translate(addr uint32, acc Access) (uint32, *PageFault) {
-	vpn := paging.VPN(addr)
 	buf := m.DTLB
 	if acc == AccFetch {
 		buf = m.ITLB
 	}
-	if e, ok := buf.Lookup(vpn); ok {
-		// Permission checks are made against the cached entry; the
-		// pagetable is NOT consulted on a hit. This property is what the
-		// split-memory technique exploits.
-		if pf := m.checkEntry(e, addr, acc); pf != nil {
-			return 0, pf
+	vpn := paging.VPN(addr)
+	e, ok := buf.LookupHint(vpn)
+	if !ok {
+		if e, ok = buf.Lookup(vpn); !ok {
+			return m.translateMiss(addr, acc, buf)
 		}
-		return e.Frame<<mem.PageShift | addr&mem.PageMask, nil
 	}
-	// TLB miss: hardware pagetable walk.
+	// Permission checks are made against the cached entry; the pagetable is
+	// NOT consulted on a hit. This property is what the split-memory
+	// technique exploits.
+	if !e.User || acc == AccWrite && !e.Writable || acc == AccFetch && e.NoExec && m.NXEnabled {
+		return 0, &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
+	}
+	return e.Frame<<mem.PageShift | addr&mem.PageMask, nil
+}
+
+// translateMiss is Translate after a TLB miss: the hardware pagetable walk,
+// which charges its cost, checks the PTE, sets its Accessed and Dirty bits
+// and fills buf.
+func (m *Machine) translateMiss(addr uint32, acc Access, buf *tlb.TLB) (uint32, *PageFault) {
+	vpn := paging.VPN(addr)
 	m.Cycles += m.Cost.TLBWalk
 	pte := m.pt.Get(vpn)
 	if !pte.Present() {
@@ -436,19 +449,6 @@ func (m *Machine) Translate(addr uint32, acc Access) (uint32, *PageFault) {
 		NoExec:   pte.NoExec(),
 	})
 	return pte.Frame()<<mem.PageShift | addr&mem.PageMask, nil
-}
-
-func (m *Machine) checkEntry(e tlb.Entry, addr uint32, acc Access) *PageFault {
-	if !e.User {
-		return &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
-	}
-	if acc == AccWrite && !e.Writable {
-		return &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
-	}
-	if acc == AccFetch && e.NoExec && m.NXEnabled {
-		return &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
-	}
-	return nil
 }
 
 func (m *Machine) faultCode(acc Access, present bool) uint32 {

@@ -58,7 +58,15 @@ package cpu
 //     between Steps, handing the verdict back through TakePreemptDraw.
 //     A block records its worst-case cycle charge; when it fits before the
 //     bound and there is no chaos agent, preemption draw or trace hook,
-//     none of those checks can fire, and the block runs without them.
+//     none of those checks can fire, and the block runs in the unchecked
+//     loop: per op it charges Instr and counts the instruction, executes,
+//     tests the op's signal and the block's end, and re-validates the write
+//     generation after a store; op i's in-block fetch is replayed as the
+//     i-th ITLB hit at whichever exit the block takes. Every other block
+//     runs in the checked loop, which makes all of those checks between
+//     ops. Both loops charge each op before executing it; charging a whole
+//     block at its exit instead measured faster only on long straight-line
+//     blocks and slower on short cross-page ones, so it is not done.
 //
 // Compiled blocks are host state: Snapshot deliberately drops them (a
 // restored machine re-proves hotness and recompiles), and the only Stats
@@ -273,6 +281,15 @@ func (m *Machine) sbExec(pa uint32, chain bool) (res StepResult, entered bool) {
 // architectural fetch Translate (and, when chaos is installed, the PreStep
 // hook) for the first instruction.
 //
+// A block runs in one of two loops. The unchecked loop is taken when every
+// in-block fetch is a hit on one pinned ITLB slot, no chaos agent,
+// preemption draw or trace hook is installed, and the block's worst-case
+// charge fits before the slice bound: then no between-instruction check can
+// fire, and per op it only charges, executes, tests the op's signal and the
+// block's end, and re-validates the write generation after a store. Every
+// other block runs in the checked loop (sbRunChecked), which replays Step's
+// and the kernel's between-instruction sequence op by op.
+//
 // With chain set (StepSlice: the scheduler's slice loop), a block that
 // completes normally continues into its successor's block while the
 // scheduler would do nothing but Step again: the cycle count is below the
@@ -293,122 +310,38 @@ func (m *Machine) sbRun(b *superblock, sbf *sbFrame, f uint32, chain bool) StepR
 	chain = chain && slot >= 0 && !chaotic && m.Preempt == nil
 	hits := 0 // same-page fetch hits on slot not yet replayed
 	for {
-		// Decide which between-instruction checks this block needs: with
-		// room for its worst-case charge before the slice bound and no
-		// chaos, preemption draw or trace hook, none of them can fire.
-		checked := slot < 0 || chaotic || m.Preempt != nil || m.TraceHook != nil ||
-			m.Cycles+b.maxCost >= m.sliceEnd
-		ops, last := b.ops, len(b.ops)-1
-		for i := 0; ; i++ {
-			op := &ops[i]
-			if i > 0 {
-				if slot >= 0 {
-					hits++
-				} else if chaotic {
-					// Replicate Step's preamble for this instruction: the
-					// chaos hook may evict TLB entries, flush (bumping the
-					// epoch) or flip bits (bumping the write generation), so
-					// the stamps are re-validated before trusting the
-					// compiled ops.
-					m.Chaos.PreStep(m)
-					if !sbf.current(m, f) {
-						m.Stats.SuperblockSideExits++
-						return m.stepRetire(false) // PreStep already ran; decode fresh bytes
+		if slot < 0 || chaotic || m.Preempt != nil || m.TraceHook != nil ||
+			m.Cycles+b.maxCost >= m.sliceEnd {
+			if res, done := m.sbRunChecked(b, sbf, f, base, slot, &hits); done {
+				return res
+			}
+		} else {
+			// The unchecked loop. Op i's fetch is the i-th in-block hit on
+			// slot, replayed as hits+i on every exit.
+			ops, last := b.ops, len(b.ops)-1
+			i := 0
+			for ; ; i++ {
+				op := &ops[i]
+				m.Cycles += m.Cost.Instr
+				m.Stats.Instructions++
+				sig := op.exec(m, base)
+				if sig != sbFall {
+					if sig == sbEnd {
+						break
 					}
-					pa, pf := m.Translate(base|op.off, AccFetch)
-					if pf != nil {
-						m.Stats.SuperblockSideExits++
-						return m.raisePF(pf)
-					}
-					if pa>>mem.PageShift != f {
-						// The walk resolved to a different frame (a stale
-						// TLB entry healed): the compiled bytes are not the
-						// fetched bytes. Retire through the interpreter.
-						m.Stats.SuperblockSideExits++
-						return m.stepAt(pa, m.Ctx, false)
-					}
-				} else if _, pf := m.Translate(base|op.off, AccFetch); pf != nil {
-					m.Stats.SuperblockSideExits++
-					return m.raisePF(pf)
+					m.ITLB.TouchSlotN(slot, hits+i)
+					return m.sbTrapExit(sig, false)
 				}
-			}
-
-			// Retire, exactly as Step does: cost and count before execution
-			// so a faulting attempt is charged and traced, then restarted.
-			m.Cycles += m.Cost.Instr
-			m.Stats.Instructions++
-			if checked && m.TraceHook != nil {
-				m.ITLB.TouchSlotN(slot, hits)
-				hits = 0
-				m.TraceHook(base|op.off, op.in)
-			}
-			sig := op.exec(m, base)
-			if sig >= sbFault {
-				m.ITLB.TouchSlotN(slot, hits)
-				m.Stats.SuperblockSideExits++
-				if sig == sbFault {
-					pf := m.sbPF
-					m.sbPF = nil
-					return m.raisePF(pf)
+				if i == last {
+					break
 				}
-				if m.divideError() == ActStop {
-					return StepStopped
-				}
-				// The divide restarts; a resumed trap still reaches the
-				// post-retire trap point, as in the interpreter.
-				if chaotic && m.Chaos.SpuriousDebugTrap() && m.raiseDB() == ActStop {
-					return StepStopped
-				}
-				return StepOK
-			}
-
-			// Post-retire trap point. TF cannot be set mid-block (no block op
-			// writes it; the handlers that do always end the block), so the
-			// only source here is the injected spurious #DB.
-			if chaotic && m.Chaos.SpuriousDebugTrap() {
-				m.Stats.SuperblockSideExits++
-				if m.raiseDB() == ActStop {
-					return StepStopped
-				}
-				return StepOK
-			}
-			if sig == sbEnd || i == last {
-				break // normal completion: terminal branch or the block's end
-			}
-
-			// Without chaos the only in-block writer is the guest itself:
-			// re-validate the write generation after any op that stored, so
-			// a self-modifying write can never let a stale op execute.
-			if !chaotic && op.writes && sbf.wgen != m.Phys.Gen(f) {
-				m.ITLB.TouchSlotN(slot, hits)
-				m.Stats.SuperblockSideExits++
-				return StepOK
-			}
-
-			// The kernel's between-Step sequence, replayed between in-block
-			// instructions in the same order RunContext checks it: the
-			// forced-preemption draw first, then the timeslice bound. Exits
-			// that consumed the draw report it through TakePreemptDraw so
-			// the kernel does not draw a second time for this instruction.
-			if checked {
-				m.ITLB.TouchSlotN(slot, hits)
-				hits = 0
-				if m.Preempt != nil {
-					if m.Preempt() {
-						m.sbDrawDone, m.sbDrawPreempt = true, true
-						m.Stats.SuperblockSideExits++
-						return StepOK
-					}
-					if m.Cycles >= m.sliceEnd {
-						m.sbDrawDone = true
-						m.Stats.SuperblockSideExits++
-						return StepOK
-					}
-				} else if m.Cycles >= m.sliceEnd {
+				if op.writes && sbf.wgen != m.Phys.Gen(f) {
+					m.ITLB.TouchSlotN(slot, hits+i)
 					m.Stats.SuperblockSideExits++
 					return StepOK
 				}
 			}
+			hits += i
 		}
 
 		// b completed normally. Chain into the block the next Step would
@@ -437,6 +370,134 @@ func (m *Machine) sbRun(b *superblock, sbf *sbFrame, f uint32, chain bool) StepR
 		m.Stats.SuperblockEntered++
 		b = next
 	}
+}
+
+// sbRunChecked is the checked loop of sbRun: block b on page base (frame f,
+// pinned ITLB slot or -1) with the between-instruction checks of Step and
+// the kernel's slice loop made after every op. *hits carries the pending
+// same-page hits on slot. done reports that the block ended early, with res
+// the Step result; otherwise it completed normally and *hits holds the hits
+// still to replay.
+func (m *Machine) sbRunChecked(b *superblock, sbf *sbFrame, f, base uint32, slot int, hits *int) (res StepResult, done bool) {
+	chaotic := m.Chaos != nil
+	ops, last := b.ops, len(b.ops)-1
+	for i := 0; ; i++ {
+		op := &ops[i]
+		if i > 0 {
+			if slot >= 0 {
+				*hits++
+			} else if chaotic {
+				// Replicate Step's preamble for this instruction: the
+				// chaos hook may evict TLB entries, flush (bumping the
+				// epoch) or flip bits (bumping the write generation), so
+				// the stamps are re-validated before trusting the
+				// compiled ops.
+				m.Chaos.PreStep(m)
+				if !sbf.current(m, f) {
+					m.Stats.SuperblockSideExits++
+					return m.stepRetire(false), true // PreStep already ran; decode fresh bytes
+				}
+				pa, pf := m.Translate(base|op.off, AccFetch)
+				if pf != nil {
+					m.Stats.SuperblockSideExits++
+					return m.raisePF(pf), true
+				}
+				if pa>>mem.PageShift != f {
+					// The walk resolved to a different frame (a stale
+					// TLB entry healed): the compiled bytes are not the
+					// fetched bytes. Retire through the interpreter.
+					m.Stats.SuperblockSideExits++
+					return m.stepAt(pa, m.Ctx, false), true
+				}
+			} else if _, pf := m.Translate(base|op.off, AccFetch); pf != nil {
+				m.Stats.SuperblockSideExits++
+				return m.raisePF(pf), true
+			}
+		}
+
+		// Retire, exactly as Step does: cost and count before execution
+		// so a faulting attempt is charged and traced, then restarted.
+		m.Cycles += m.Cost.Instr
+		m.Stats.Instructions++
+		if m.TraceHook != nil {
+			m.ITLB.TouchSlotN(slot, *hits)
+			*hits = 0
+			m.TraceHook(base|op.off, op.in)
+		}
+		sig := op.exec(m, base)
+		if sig >= sbFault {
+			m.ITLB.TouchSlotN(slot, *hits)
+			return m.sbTrapExit(sig, chaotic), true
+		}
+
+		// Post-retire trap point. TF cannot be set mid-block (no block op
+		// writes it; the handlers that do always end the block), so the
+		// only source here is the injected spurious #DB.
+		if chaotic && m.Chaos.SpuriousDebugTrap() {
+			m.Stats.SuperblockSideExits++
+			if m.raiseDB() == ActStop {
+				return StepStopped, true
+			}
+			return StepOK, true
+		}
+		if sig == sbEnd || i == last {
+			return 0, false // normal completion: terminal branch or the block's end
+		}
+
+		// Without chaos the only in-block writer is the guest itself:
+		// re-validate the write generation after any op that stored, so
+		// a self-modifying write can never let a stale op execute.
+		if !chaotic && op.writes && sbf.wgen != m.Phys.Gen(f) {
+			m.ITLB.TouchSlotN(slot, *hits)
+			m.Stats.SuperblockSideExits++
+			return StepOK, true
+		}
+
+		// The kernel's between-Step sequence, replayed between in-block
+		// instructions in the same order RunContext checks it: the
+		// forced-preemption draw first, then the timeslice bound. Exits
+		// that consumed the draw report it through TakePreemptDraw so
+		// the kernel does not draw a second time for this instruction.
+		m.ITLB.TouchSlotN(slot, *hits)
+		*hits = 0
+		if m.Preempt != nil {
+			if m.Preempt() {
+				m.sbDrawDone, m.sbDrawPreempt = true, true
+				m.Stats.SuperblockSideExits++
+				return StepOK, true
+			}
+			if m.Cycles >= m.sliceEnd {
+				m.sbDrawDone = true
+				m.Stats.SuperblockSideExits++
+				return StepOK, true
+			}
+		} else if m.Cycles >= m.sliceEnd {
+			m.Stats.SuperblockSideExits++
+			return StepOK, true
+		}
+	}
+}
+
+// sbTrapExit ends a block whose op signalled a handler (sig >= sbFault),
+// after the caller replayed the pending ITLB hits: it delivers the page
+// fault or the divide error, and the injected #DB a chaotic run may add
+// after a restarted divide.
+func (m *Machine) sbTrapExit(sig sbSig, chaotic bool) StepResult {
+	m.Stats.SuperblockSideExits++
+	if sig == sbFault {
+		pf := m.sbPF
+		m.sbPF = nil
+		return m.raisePF(pf)
+	}
+	if m.divideError() == ActStop {
+		return StepStopped
+	}
+	// The divide restarts; a resumed trap still reaches the post-retire
+	// trap point, as in the interpreter.
+	if chaotic && m.Chaos.SpuriousDebugTrap() && m.raiseDB() == ActStop {
+		return StepStopped
+	}
+	return StepOK
 }
 
 // sbProbe finds the block a fetch of eip on another page would enter,

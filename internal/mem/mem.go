@@ -21,6 +21,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -464,16 +465,26 @@ func (p *Physical) SetByte(pa uint32, v byte) {
 }
 
 // Read32 reads a little-endian 32-bit word at physical address pa, which may
-// span a frame boundary.
+// span a frame boundary. An in-page word of a frame materialized in the
+// private overlay is read directly; everything else takes read32Slow.
 func (p *Physical) Read32(pa uint32) uint32 {
+	f, off := pa>>PageShift, pa&PageMask
+	// A frame in the overlay is private: Seal empties the overlay, and a
+	// copy-on-write unshare marks the frame private as it fills it.
+	if fr := p.frames; f < uint32(len(fr)) && fr[f] != nil && off <= PageSize-4 {
+		return binary.LittleEndian.Uint32(fr[f][off:])
+	}
+	return p.read32Slow(pa)
+}
+
+func (p *Physical) read32Slow(pa uint32) uint32 {
 	f := pa >> PageShift
 	if off := pa & PageMask; f < p.nframes && off <= PageSize-4 {
 		b := p.view(f)
 		if b == nil {
 			return 0
 		}
-		b = b[off:]
-		return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+		return binary.LittleEndian.Uint32(b[off:])
 	}
 	var v uint32
 	for i := uint32(0); i < 4; i++ {
@@ -482,17 +493,26 @@ func (p *Physical) Read32(pa uint32) uint32 {
 	return v
 }
 
-// Write32 writes a little-endian 32-bit word at physical address pa.
+// Write32 writes a little-endian 32-bit word at physical address pa. An
+// in-page word of a private, materialized frame whose allocator state the
+// machine owns is written directly, with the same generation bump as every
+// other store; everything else takes write32Slow.
 func (p *Physical) Write32(pa uint32, v uint32) {
+	f, off := pa>>PageShift, pa&PageMask
+	if fr := p.frames; f < uint32(len(fr)) && fr[f] != nil && off <= PageSize-4 && !p.metaShared {
+		p.gens[f]++
+		binary.LittleEndian.PutUint32(fr[f][off:], v)
+		return
+	}
+	p.write32Slow(pa, v)
+}
+
+func (p *Physical) write32Slow(pa uint32, v uint32) {
 	f := pa >> PageShift
 	if off := pa & PageMask; f < p.nframes && off <= PageSize-4 {
 		p.ownMeta()
 		p.gens[f]++
-		b := p.writable(f)[off:]
-		b[0] = byte(v)
-		b[1] = byte(v >> 8)
-		b[2] = byte(v >> 16)
-		b[3] = byte(v >> 24)
+		binary.LittleEndian.PutUint32(p.writable(f)[off:], v)
 		return
 	}
 	for i := uint32(0); i < 4; i++ {
@@ -544,6 +564,7 @@ func (p *Physical) RegisterTelemetry(r *telemetry.Registry) {
 // contents: free list order (a stack whose order decides every future
 // allocation), refcounts, write generations and counters.
 func (p *Physical) EncodeMeta(w *snapshot.Writer) {
+	w.Grow(4 + 8 + 8 + 4 + 4*len(p.free) + (2+8)*int(p.nframes))
 	w.U32(p.nframes)
 	w.U64(p.allocCnt)
 	w.U64(p.faults)
@@ -567,30 +588,47 @@ type FrameSource interface {
 	View(f uint32) []byte
 }
 
-// EncodeFrames serializes src's frame contents sparsely: the frame count,
-// then every frame with at least one nonzero byte as its number and
+// FrameSection is the frame section of an image, scanned from a
+// FrameSource once: the numbers of the frames holding a nonzero byte. Its
+// encoding is the frame count, then every such frame as its number and
 // contents. Frames that are all zero are skipped whether or not they are
 // materialized, so the bytes depend only on what the frames hold, never on
 // how a machine came to hold it (cold, forked, or booted from an image).
-func EncodeFrames(w *snapshot.Writer, src FrameSource) {
+// Len is known before anything is written, so a writer sizes its buffer
+// once.
+type FrameSection struct {
+	src     FrameSource
+	nonzero []uint32
+}
+
+// ScanFrames scans src's frames for the section. The frames must not change
+// until the section is encoded.
+func ScanFrames(src FrameSource) FrameSection {
 	n := src.NumFrames()
-	w.U32(n)
-	var nonzero uint32
+	s := FrameSection{src: src, nonzero: make([]uint32, 0, n)}
 	for f := uint32(0); f < n; f++ {
 		if frameNonzero(src.View(f)) {
-			nonzero++
+			s.nonzero = append(s.nonzero, f)
 		}
 	}
-	w.U32(nonzero)
-	for f := uint32(0); f < n; f++ {
-		if b := src.View(f); frameNonzero(b) {
-			w.U32(f)
-			w.Raw(b)
-		}
+	return s
+}
+
+// Len returns the encoded size of the section in bytes.
+func (s FrameSection) Len() int { return 8 + len(s.nonzero)*(4+PageSize) }
+
+// Encode writes the section, growing w once to fit it.
+func (s FrameSection) Encode(w *snapshot.Writer) {
+	w.Grow(s.Len())
+	w.U32(s.src.NumFrames())
+	w.U32(uint32(len(s.nonzero)))
+	for _, f := range s.nonzero {
+		w.U32(f)
+		w.Raw(s.src.View(f))
 	}
 }
 
-// DecodeBase reads a section written by EncodeFrames into a new Base.
+// DecodeBase reads a section written by FrameSection.Encode into a new Base.
 func DecodeBase(r *snapshot.Reader) (*Base, error) {
 	n := r.U32()
 	if err := r.Err(); err != nil {
@@ -715,7 +753,15 @@ func SkipMeta(r *snapshot.Reader) error {
 	return r.Err()
 }
 
+// frameNonzero reports whether b holds a nonzero byte, testing 32 bytes at
+// a time; a frame's contents are nil or PageSize bytes.
 func frameNonzero(b []byte) bool {
+	for ; len(b) >= 32; b = b[32:] {
+		if binary.LittleEndian.Uint64(b)|binary.LittleEndian.Uint64(b[8:])|
+			binary.LittleEndian.Uint64(b[16:])|binary.LittleEndian.Uint64(b[24:]) != 0 {
+			return true
+		}
+	}
 	for _, v := range b {
 		if v != 0 {
 			return true

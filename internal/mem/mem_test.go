@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -167,7 +168,10 @@ func TestFlipBit(t *testing.T) {
 }
 
 func TestReadWrite32(t *testing.T) {
-	p, _ := NewPhysical(4 * PageSize)
+	p, err := NewPhysical(4 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Write32(100, 0xdeadbeef)
 	if got := p.Read32(100); got != 0xdeadbeef {
 		t.Fatalf("got %#x", got)
@@ -180,6 +184,54 @@ func TestReadWrite32(t *testing.T) {
 	p.Write32(PageSize-2, 0x11223344)
 	if got := p.Read32(PageSize - 2); got != 0x11223344 {
 		t.Fatalf("page-crossing got %#x", got)
+	}
+
+	// Every way a word can be held reads and writes alike: a frame
+	// materialized in the private overlay (the direct path), an absent
+	// frame, a frame shared through a Base, and a fork whose allocator
+	// state is still shared; at aligned, unaligned, last in-page and
+	// page-crossing offsets. A store bumps the write generation once per
+	// in-page word, once per byte across a page boundary.
+	for _, kind := range []string{"private", "absent", "shared", "fork"} {
+		for _, off := range []uint32{0, 1, 2, 3, 100, PageSize - 4, PageSize - 2} {
+			q, _ := NewPhysical(4 * PageSize)
+			pa := PageSize + off
+			if kind != "absent" {
+				q.Frame(1)
+				for i := uint32(0); i < 4; i++ {
+					q.SetByte(pa+i, byte(0x10+off+i))
+				}
+			}
+			switch kind {
+			case "shared":
+				q.Seal()
+			case "fork":
+				base := q.Seal()
+				if q, err = BootPhysical(base, q.SnapMeta()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var want uint32
+			for i := uint32(0); i < 4; i++ {
+				want |= uint32(q.Byte(pa+i)) << (8 * i)
+			}
+			if got := q.Read32(pa); got != want {
+				t.Errorf("%s frame, offset %d: Read32 %#x, bytes say %#x", kind, off, got, want)
+			}
+			g1, g2 := q.Gen(1), q.Gen(2)
+			q.Write32(pa, 0xA1B2C3D4)
+			if got := q.Read32(pa); got != 0xA1B2C3D4 || q.Byte(pa) != 0xD4 || q.Byte(pa+3) != 0xA1 {
+				t.Errorf("%s frame, offset %d: wrote 0xA1B2C3D4, read %#x", kind, off, got)
+			}
+			bump1, bump2 := uint64(1), uint64(0)
+			if off > PageSize-4 {
+				bump1, bump2 = uint64(PageSize-off), uint64(4-(PageSize-off))
+			}
+			if q.Gen(1)-g1 != bump1 || q.Gen(2)-g2 != bump2 {
+				t.Errorf("%s frame, offset %d: generations moved by %d and %d, want %d and %d",
+					kind, off, q.Gen(1)-g1, q.Gen(2)-g2, bump1, bump2)
+			}
+		}
 	}
 }
 
@@ -238,7 +290,9 @@ func TestQuickAllocUnique(t *testing.T) {
 // TestFrameSectionCanonical: the frame section depends only on frame
 // contents. A materialized all-zero frame is skipped like a never-touched
 // one, the decoded Base holds exactly the nonzero frames, and re-encoding
-// the Base reproduces the bytes; a truncated section fails typed.
+// the Base reproduces the bytes; a truncated section fails typed. The
+// one-pass writer matches the two-pass reference on every way a frame can
+// be held.
 func TestFrameSectionCanonical(t *testing.T) {
 	p, err := NewPhysical(8 * PageSize)
 	if err != nil {
@@ -248,7 +302,7 @@ func TestFrameSectionCanonical(t *testing.T) {
 	p.SetByte(5*PageSize, 1)
 	p.SetByte(5*PageSize, 0) // materialized, but all zero again
 	w := snapshot.NewWriter()
-	EncodeFrames(w, p)
+	ScanFrames(p).Encode(w)
 	enc := w.Bytes()
 	if want := 4 + 4 + 4 + PageSize; len(enc) != want {
 		t.Fatalf("section is %d bytes, want %d (one nonzero frame)", len(enc), want)
@@ -267,7 +321,7 @@ func TestFrameSectionCanonical(t *testing.T) {
 		t.Fatal("frame 3 contents lost")
 	}
 	w2 := snapshot.NewWriter()
-	EncodeFrames(w2, b)
+	ScanFrames(b).Encode(w2)
 	if !bytes.Equal(enc, w2.Bytes()) {
 		t.Fatal("re-encoding the decoded base changed the bytes")
 	}
@@ -275,4 +329,118 @@ func TestFrameSectionCanonical(t *testing.T) {
 	if _, err := DecodeBase(snapshot.NewReader(enc[:len(enc)-1])); !errors.Is(err, snapshot.ErrTruncated) {
 		t.Fatalf("truncated section: err %v, want ErrTruncated", err)
 	}
+
+	for _, c := range frameSectionCases(t) {
+		w := snapshot.NewWriter()
+		sec := ScanFrames(c.src)
+		sec.Encode(w)
+		if want := encodeFramesRef(c.src); !bytes.Equal(w.Bytes(), want) {
+			t.Errorf("%s: wrote %d bytes, the reference %d, not identical", c.name, w.Len(), len(want))
+		}
+		if sec.Len() != w.Len() {
+			t.Errorf("%s: Len %d, encoded %d", c.name, sec.Len(), w.Len())
+		}
+	}
+}
+
+// encodeFramesRef is the frame-section writer as first written: one byte-
+// by-byte pass counting the nonzero frames, a second writing them, the
+// buffer grown by appending. FrameSection.Encode must write the same bytes.
+func encodeFramesRef(src FrameSource) []byte {
+	nonzero := func(b []byte) bool {
+		for _, v := range b {
+			if v != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	w := snapshot.NewWriter()
+	n := src.NumFrames()
+	w.U32(n)
+	var count uint32
+	for f := uint32(0); f < n; f++ {
+		if nonzero(src.View(f)) {
+			count++
+		}
+	}
+	w.U32(count)
+	for f := uint32(0); f < n; f++ {
+		if b := src.View(f); nonzero(b) {
+			w.U32(f)
+			w.Raw(b)
+		}
+	}
+	return w.Bytes()
+}
+
+// frameSectionCases builds frame sources covering every way a frame can be
+// held: never touched (nil), materialized but all zero, nonzero only at one
+// offset (in each word of the 32-byte zero test, and the frame's last
+// byte), shared through a Base, private in a copy-on-write overlay, and a
+// fork that wrote to a few shared frames.
+func frameSectionCases(t *testing.T) []struct {
+	name string
+	src  FrameSource
+} {
+	t.Helper()
+	newPhys := func() *Physical {
+		p, err := NewPhysical(16 * PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var cases []struct {
+		name string
+		src  FrameSource
+	}
+	add := func(name string, src FrameSource) {
+		cases = append(cases, struct {
+			name string
+			src  FrameSource
+		}{name, src})
+	}
+
+	add("nil frames", newPhys())
+
+	zero := newPhys()
+	for f := uint32(1); f < 16; f += 3 {
+		zero.Frame(f) // materialized, never written
+	}
+	add("materialized zero frames", zero)
+
+	for _, off := range []uint32{0, 7, 8, 17, 30, PageSize - 1} {
+		p := newPhys()
+		p.Frame(4) // a zero neighbour, materialized
+		p.SetByte(5*PageSize+off, 0x5A)
+		add(fmt.Sprintf("one nonzero byte at offset %d", off), p)
+	}
+
+	// A template with nonzero, zeroed and untouched frames, sealed into a
+	// Base; then private overlays over it: a rewritten frame, a frame
+	// cleared back to zero, and a frame first written after the seal.
+	tmpl := newPhys()
+	for f := uint32(1); f < 12; f++ {
+		tmpl.Write32(f*PageSize+4*f, 0xC0DE0000|f)
+	}
+	tmpl.SetByte(13*PageSize, 1)
+	tmpl.SetByte(13*PageSize, 0)
+	base := tmpl.Seal()
+	add("sealed base", base)
+	add("fully shared machine", tmpl)
+	tmpl.Write32(3*PageSize+12, 0xFFFFFFFF) // private copy, still nonzero
+	tmpl.Write32(6*PageSize+24, 0)          // private copy, now all zero
+	tmpl.SetByte(14*PageSize+PageSize-1, 9) // private, past the template
+	add("private overlays over a base", tmpl)
+
+	fork, err := BootPhysical(base, tmpl.SnapMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork.SetByte(2*PageSize+100, 0xEE)
+	fork.Write32(9*PageSize+36, 0) // unshared and zeroed
+	fork.CopyFrame(15, 11)         // a shared frame copied to a fresh one
+	add("copy-on-write fork", fork)
+	return cases
 }

@@ -46,6 +46,16 @@ type Writer struct {
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// Grow makes room for n more bytes, so that writing them appends without
+// reallocating the buffer.
+func (w *Writer) Grow(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		buf := make([]byte, len(w.buf), len(w.buf)+n)
+		copy(buf, w.buf)
+		w.buf = buf
+	}
+}
+
 // Bytes returns the accumulated image.
 func (w *Writer) Bytes() []byte { return w.buf }
 

@@ -122,18 +122,40 @@ func (t *TLB) unlink(i int) {
 	t.nvalid--
 }
 
-// Lookup returns the cached translation for virtual page number vpn.
+// Lookup returns the cached translation for virtual page number vpn. It
+// tests the hint cell's slot first (LookupHint) and searches further only
+// on a collision or a miss.
 func (t *TLB) Lookup(vpn uint32) (Entry, bool) {
+	if e, ok := t.LookupHint(vpn); ok {
+		return e, true
+	}
 	i := t.find(vpn)
 	if i < 0 {
 		t.misses++
 		return Entry{}, false
 	}
-	s := &t.slots[i]
+	return t.hit(&t.slots[i]), true
+}
+
+// LookupHint is the first half of Lookup, small enough to inline into the
+// machine's translation path: a hit in the slot the vpn's hint cell names,
+// counted exactly as Lookup counts it. ok=false changes nothing, and the
+// caller must then call Lookup, which decides between a hit elsewhere in
+// the array and a miss.
+func (t *TLB) LookupHint(vpn uint32) (Entry, bool) {
+	if s := &t.slots[t.hint[vpn&t.mask].slot]; s.vpn == vpn && s.valid {
+		return t.hit(s), true
+	}
+	return Entry{}, false
+}
+
+// hit records one Lookup hit on s: the LRU clock advances, s becomes most
+// recently used, and the hit counter grows.
+func (t *TLB) hit(s *slot) Entry {
 	t.tick++
 	s.used = t.tick
 	t.hits++
-	return s.entry, true
+	return s.entry
 }
 
 // Slot returns the index of the slot currently caching vpn without touching

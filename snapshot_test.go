@@ -9,6 +9,7 @@ package splitmem_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"testing"
 
@@ -180,3 +181,85 @@ func FuzzRestore(f *testing.F) {
 		}
 	})
 }
+
+// parkedWorkload loads the cataloged workload name under split memory and
+// runs it for budget cycles, parking it at a timeslice boundary the way a
+// checkpointing replica does.
+func parkedWorkload(tb testing.TB, name string, budget uint64) *splitmem.Machine {
+	tb.Helper()
+	prog, ok := workloads.Lookup(name)
+	if !ok {
+		tb.Fatalf("%s workload missing from catalog", name)
+	}
+	m, err := splitmem.New(splitmem.Config{Protection: splitmem.ProtSplit})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := m.LoadAsm(prog.Src, prog.Name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if prog.Input != "" {
+		p.StdinWrite([]byte(prog.Input))
+		p.StdinClose()
+	}
+	if res := m.Run(budget); res.Reason != splitmem.ReasonBudget {
+		tb.Fatalf("%s stopped with %v before %d cycles", name, res.Reason, budget)
+	}
+	return m
+}
+
+// TestSnapshotAllocs: a checkpoint sizes its buffers once. Snapshot of gzip
+// parked at 3M cycles (a 1.2 MB image with a 236 KB metadata section)
+// allocates 24 times. Growing the image buffer by appending, one
+// reallocation per doubling, took it to 61; leaving only the image
+// writer's up-front sizing out takes it to 27.
+func TestSnapshotAllocs(t *testing.T) {
+	m := parkedWorkload(t, "gzip", 3_000_000)
+	defer m.Close()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := m.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > snapshotAllocBound {
+		t.Fatalf("Snapshot allocated %.0f times, bound %d", allocs, snapshotAllocBound)
+	}
+}
+
+// snapshotAllocBound is TestSnapshotAllocs's limit.
+const snapshotAllocBound = 26
+
+// BenchmarkSnapshot times one checkpoint (Machine.Snapshot) of gzip parked
+// at 3M and 10M cycles and of nbench at 3M, reporting bytes per second of
+// image written and allocations per checkpoint.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		budget uint64
+	}{
+		{"gzip", 3_000_000},
+		{"gzip", 10_000_000},
+		{"nbench", 3_000_000},
+	} {
+		b.Run(fmt.Sprintf("%s/%dM", c.name, c.budget/1_000_000), func(b *testing.B) {
+			m := parkedWorkload(b, c.name, c.budget)
+			defer m.Close()
+			img, err := m.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if img, err = m.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			snapshotSink = img
+		})
+	}
+}
+
+var snapshotSink []byte
