@@ -63,7 +63,7 @@ import (
 	_ "net/http/pprof"
 
 	"splitmem/internal/cluster"
-	"splitmem/internal/faultmesh"
+	"splitmem/internal/faultmesh/campaign"
 	"splitmem/internal/serve"
 	"splitmem/internal/serve/loadtest"
 )
@@ -75,7 +75,7 @@ import (
 // artifact — is written even when the campaign fails, so a red run ships
 // its own forensics.
 func runChaosCampaign(seed uint64, clients int, reportPath string) error {
-	rep, err := faultmesh.RunCampaign(faultmesh.CampaignConfig{Seed: seed, Clients: clients})
+	rep, err := campaign.Run(campaign.Config{Seed: seed, Clients: clients})
 	if rep != nil && reportPath != "" {
 		f, ferr := os.Create(reportPath)
 		if ferr != nil {
@@ -96,8 +96,7 @@ func runChaosCampaign(seed uint64, clients int, reportPath string) error {
 	if rep.Load != nil {
 		fmt.Println(rep.Load)
 	}
-	fmt.Printf("chaos-campaign: mesh faults %+v\n", rep.MeshFault)
-	fmt.Printf("chaos-campaign: disk faults %+v\n", rep.DiskFault)
+	fmt.Printf("chaos-campaign: faults %+v\n", rep.Stats)
 	for _, inv := range rep.Invariants {
 		mark := "ok"
 		if !inv.Passed {

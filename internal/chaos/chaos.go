@@ -16,13 +16,13 @@
 // The injector plugs into the machine as a cpu.ChaosAgent and into the
 // scheduler as a kernel.Preempter; the invariant auditor (internal/core)
 // uses StaleVPN to attribute TLB incoherence it heals to an injected
-// hardware fault rather than to an engine bug.
+// hardware fault rather than to an engine bug. Its state is part of the
+// machine image. Faults of the host around the simulator (workers,
+// journals, wires, disks) come from internal/faultmesh instead.
 package chaos
 
 import (
 	"sort"
-	"sync"
-	"time"
 
 	"splitmem/internal/cpu"
 	"splitmem/internal/mem"
@@ -284,251 +284,4 @@ func (i *Injector) DecodeState(r *snapshot.Reader) error {
 		i.stale[r.U32()] = true
 	}
 	return r.Err()
-}
-
-// HostConfig sets injection rates for host-level (non-architectural) fault
-// classes: the failures of the machinery around the simulator rather than of
-// the simulated hardware. These draw from their own splitmix64 stream so
-// enabling them never perturbs the architectural fault sequence of an
-// Injector sharing the same seed.
-type HostConfig struct {
-	Seed        uint64
-	WorkerKill  float64 // per checkpoint slice: panic the worker mid-job
-	JournalTear float64 // per journal append: truncate the record partway (torn write)
-}
-
-// Enabled reports whether any host fault class has a nonzero rate.
-func (c HostConfig) Enabled() bool { return c.WorkerKill > 0 || c.JournalTear > 0 }
-
-// HostDefaults returns the default host-fault rates used by the recovery
-// chaos cells: frequent enough to fire several times per job, survivable
-// within a default retry budget.
-func HostDefaults() HostConfig {
-	return HostConfig{WorkerKill: 0.2, JournalTear: 0.25}
-}
-
-// HostStats counts injected host faults by class.
-type HostStats struct {
-	WorkerKills  uint64
-	JournalTears uint64
-}
-
-// HostInjector injects host-level faults (worker kills, journal torn
-// writes). Separate from Injector on purpose: its consumers live above the
-// machine (the serve supervisor and journal), and its stream must not be
-// entangled with the architectural one.
-type HostInjector struct {
-	cfg   HostConfig
-	state uint64
-	stats HostStats
-}
-
-// NewHost creates a host-fault injector.
-func NewHost(cfg HostConfig) *HostInjector {
-	return &HostInjector{cfg: cfg, state: cfg.Seed ^ 0xD1B54A32D192ED03}
-}
-
-// Stats snapshots the per-class host fault counters.
-func (h *HostInjector) Stats() HostStats { return h.stats }
-
-func (h *HostInjector) next() uint64 {
-	h.state += 0x9E3779B97F4A7C15
-	z := h.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (h *HostInjector) roll(rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	return float64(h.next()>>11)/(1<<53) < rate
-}
-
-// KillWorker reports whether the worker should panic now (asked once per
-// checkpoint slice). A nil injector never fires.
-func (h *HostInjector) KillWorker() bool {
-	if h == nil || !h.roll(h.cfg.WorkerKill) {
-		return false
-	}
-	h.stats.WorkerKills++
-	return true
-}
-
-// TearJournal reports whether the journal append in progress should be torn
-// (asked once per append). A nil injector never fires.
-func (h *HostInjector) TearJournal() bool {
-	if h == nil || !h.roll(h.cfg.JournalTear) {
-		return false
-	}
-	h.stats.JournalTears++
-	return true
-}
-
-// ClusterConfig sets injection rates for cluster-level fault classes: the
-// failures of the tier above any single replica — whole-replica crashes,
-// probe loss (network partition from the gateway's point of view), and
-// checkpoint images corrupted in transit during live migration. Like the
-// host classes these draw from a private splitmix64 stream, so a cluster
-// chaos cell never perturbs the architectural or host fault sequences.
-type ClusterConfig struct {
-	Seed              uint64
-	ReplicaKill       float64 // per opportunity (e.g. per accepted job): hard-kill a replica
-	ProbeDrop         float64 // per health probe: the probe times out / is partitioned away
-	CheckpointCorrupt float64 // per checkpoint transfer: flip one bit of the shipped image
-}
-
-// Enabled reports whether any cluster fault class has a nonzero rate.
-func (c ClusterConfig) Enabled() bool {
-	return c.ReplicaKill > 0 || c.ProbeDrop > 0 || c.CheckpointCorrupt > 0
-}
-
-// ClusterDefaults returns the default cluster-fault rates used by the
-// cluster chaos cells.
-func ClusterDefaults() ClusterConfig {
-	return ClusterConfig{ReplicaKill: 0.02, ProbeDrop: 0.1, CheckpointCorrupt: 0.25}
-}
-
-// ClusterStats counts injected cluster faults by class.
-type ClusterStats struct {
-	ReplicaKills          uint64
-	ProbeDrops            uint64
-	CheckpointCorruptions uint64
-}
-
-// ClusterInjector injects cluster-level faults. Unlike the other injectors
-// it is mutex-guarded: the gateway's prober, migrator, and request handlers
-// all consult it concurrently, and the cluster test lane runs under -race.
-type ClusterInjector struct {
-	mu    sync.Mutex
-	cfg   ClusterConfig
-	state uint64
-	stats ClusterStats
-}
-
-// NewCluster creates a cluster-fault injector.
-func NewCluster(cfg ClusterConfig) *ClusterInjector {
-	return &ClusterInjector{cfg: cfg, state: cfg.Seed ^ 0xA0761D6478BD642F}
-}
-
-// Stats snapshots the per-class cluster fault counters.
-func (ci *ClusterInjector) Stats() ClusterStats {
-	if ci == nil {
-		return ClusterStats{}
-	}
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	return ci.stats
-}
-
-// next advances the stream. Callers hold mu.
-func (ci *ClusterInjector) next() uint64 {
-	ci.state += 0x9E3779B97F4A7C15
-	z := ci.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// roll draws once. Callers hold mu.
-func (ci *ClusterInjector) roll(rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	return float64(ci.next()>>11)/(1<<53) < rate
-}
-
-// KillReplica reports whether a replica should be hard-killed at this
-// opportunity. A nil injector never fires.
-func (ci *ClusterInjector) KillReplica() bool {
-	if ci == nil {
-		return false
-	}
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	if !ci.roll(ci.cfg.ReplicaKill) {
-		return false
-	}
-	ci.stats.ReplicaKills++
-	return true
-}
-
-// DropProbe reports whether this health probe should be swallowed —
-// indistinguishable, to the prober, from a timeout or partition. A nil
-// injector never fires.
-func (ci *ClusterInjector) DropProbe() bool {
-	if ci == nil {
-		return false
-	}
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	if !ci.roll(ci.cfg.ProbeDrop) {
-		return false
-	}
-	ci.stats.ProbeDrops++
-	return true
-}
-
-// Jitter is a seeded source of retry-delay jitter, shared by every
-// backoff site in the tree (gateway shed-retry, worker restart backoff,
-// loadtest Retry503). Synchronized retries are a fault amplifier: when one
-// replica sheds, every client that hit it sleeps the same deterministic
-// backoff and stampedes back in lockstep. Scale breaks the lockstep with
-// "equal jitter": a base delay d maps to a uniform draw from [d/2, d), so
-// the mean stays at 3d/4 while no two seeded sources agree on the phase.
-// Mutex-guarded: retry loops on different goroutines share one source. A
-// nil Jitter scales nothing (Scale returns d unchanged).
-type Jitter struct {
-	mu    sync.Mutex
-	state uint64
-}
-
-// NewJitter creates a jitter source. The seed is XOR'd with a constant
-// distinct from every other injector stream so a zero seed still draws a
-// non-degenerate sequence.
-func NewJitter(seed uint64) *Jitter {
-	return &Jitter{state: seed ^ 0x6C62272E07BB0142}
-}
-
-// Scale maps a base delay to a uniform draw from [d/2, d). Non-positive
-// delays and nil sources pass through unchanged.
-func (j *Jitter) Scale(d time.Duration) time.Duration {
-	if j == nil || d <= time.Nanosecond {
-		return d
-	}
-	j.mu.Lock()
-	j.state += 0x9E3779B97F4A7C15
-	z := j.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	u := z ^ (z >> 31)
-	j.mu.Unlock()
-	half := d / 2
-	return half + time.Duration(u%uint64(d-half))
-}
-
-// CorruptCheckpoint flips one stream-drawn bit of a checkpoint image in
-// transit and reports whether it did. The flip position is drawn even for
-// empty images (to keep the stream aligned across runs that differ only in
-// checkpoint presence) but nothing is modified then. The machine image's
-// trailer CRC, checked by splitmem.VerifyImage, must catch every corruption
-// this injects — that is the property the cluster chaos cell pins. A nil
-// injector never corrupts.
-func (ci *ClusterInjector) CorruptCheckpoint(img []byte) bool {
-	if ci == nil {
-		return false
-	}
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	if !ci.roll(ci.cfg.CheckpointCorrupt) {
-		return false
-	}
-	pos := ci.next()
-	if len(img) == 0 {
-		return false
-	}
-	img[pos%uint64(len(img))] ^= 1 << (pos % 8)
-	ci.stats.CheckpointCorruptions++
-	return true
 }

@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 	"splitmem/internal/serve"
 )
 
@@ -327,7 +327,7 @@ func TestGatewayReplacementOverLiveReplicas(t *testing.T) {
 // correct, never resumed from a bad image.
 func TestChaosCheckpointCorruptionCaught(t *testing.T) {
 	gcfg := fastGW()
-	gcfg.Chaos = chaos.ClusterConfig{Seed: 7, CheckpointCorrupt: 1.0}
+	gcfg.Faults = faultmesh.New(faultmesh.Config{Seed: 7, CheckpointCorrupt: 1.0})
 	h, err := NewHarness(3, fastCfg(), gcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 	"splitmem/internal/serve"
 	"splitmem/internal/telemetry"
 	"splitmem/internal/telemetry/hostspan"
@@ -51,10 +51,11 @@ type Config struct {
 
 	MaxBodyBytes int64 // client request body limit (default 8 MiB)
 
-	// Chaos injects cluster-level faults (probe drops, checkpoint
-	// corruption in transit). Replica kills are the harness's job — the
-	// gateway only ever observes them.
-	Chaos chaos.ClusterConfig
+	// Faults, when non-nil, injects host faults at the gateway: every
+	// backend request crosses the plane's transport, and checkpoint images
+	// fetched for migration may be corrupted in transit. Replica kills are
+	// the harness's job — the gateway only ever observes them.
+	Faults *faultmesh.Plane
 
 	// HTTP overrides the backend client (tests inject a transport with
 	// CloseIdleConnections control). Default: a fresh client, no timeout —
@@ -135,7 +136,6 @@ type Gateway struct {
 	client     *http.Client
 	instanceID string
 	startTime  time.Time
-	chaos      *chaos.ClusterInjector
 	mux        *http.ServeMux
 
 	rec *hostspan.Recorder // nil when Config.NoTracing
@@ -143,7 +143,7 @@ type Gateway struct {
 
 	// jitter decorrelates retry sleeps across gateway instances and jobs
 	// (equal jitter: a wait of d becomes uniform in [d/2, d)).
-	jitter *chaos.Jitter
+	jitter *faultmesh.Jitter
 
 	nextID atomic.Uint64
 
@@ -204,15 +204,17 @@ func New(cfg Config) (*Gateway, error) {
 		startTime:  time.Now(),
 		jobs:       make(map[uint64]*gwJob),
 	}
-	if cfg.Chaos.Enabled() {
-		g.chaos = chaos.NewCluster(cfg.Chaos)
+	if cfg.Faults != nil {
+		c := *cfg.HTTP
+		c.Transport = cfg.Faults.Transport(c.Transport)
+		g.client = &c
 	}
 	if !cfg.NoTracing {
 		g.rec = hostspan.NewRecorder("gateway:"+g.instanceID, cfg.TraceSpanCap)
 	}
 	g.fr = newFlightRecorder(cfg.FlightRecorderDir, cfg.FlightRecorderSpans,
 		cfg.FlightRecorderMaxDumps, cfg.FlightRecorderMaxBytes)
-	g.jitter = chaos.NewJitter(fnvSeed(g.instanceID))
+	g.jitter = faultmesh.NewJitter(fnvSeed(g.instanceID))
 	ids := make([]string, len(cfg.Replicas))
 	for i, u := range cfg.Replicas {
 		r := &Replica{URL: u, Label: fmt.Sprintf("r%d", i)}

@@ -268,6 +268,6 @@ func (g *Gateway) fetchExport(ctx context.Context, r *Replica, upstreamID uint64
 	if err := json.NewDecoder(resp.Body).Decode(&exp); err != nil {
 		return nil, err
 	}
-	g.chaos.CorruptCheckpoint(exp.Checkpoint)
+	g.cfg.Faults.CorruptCheckpoint(exp.Checkpoint)
 	return &exp, nil
 }

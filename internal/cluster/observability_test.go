@@ -19,7 +19,7 @@ import (
 	"testing"
 	"time"
 
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 	"splitmem/internal/telemetry/hostspan"
 )
 
@@ -440,7 +440,7 @@ func TestRetryReasonRecorded(t *testing.T) {
 func TestFlightRecorderCRCDump(t *testing.T) {
 	dir := t.TempDir()
 	gcfg := fastGW()
-	gcfg.Chaos = chaos.ClusterConfig{Seed: 1, CheckpointCorrupt: 1.0}
+	gcfg.Faults = faultmesh.New(faultmesh.Config{Seed: 1, CheckpointCorrupt: 1.0})
 	gcfg.FlightRecorderDir = dir
 	h, err := NewHarness(2, fastCfg(), gcfg)
 	if err != nil {

@@ -47,12 +47,6 @@ func (g *Gateway) probeLoop() {
 // migration; one that comes back with a new instance ID is counted as a
 // restart and re-admitted.
 func (g *Gateway) probeOnce(r *Replica) {
-	// An injected probe drop is indistinguishable from a network partition:
-	// the prober just sees a failure.
-	if g.chaos.DropProbe() {
-		g.probeFailed(r)
-		return
-	}
 	ctx, cancel := context.WithTimeout(g.probeCtx, g.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.URL+"/healthz", nil)

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"splitmem"
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 	"splitmem/internal/serve"
 )
 
@@ -191,7 +191,7 @@ func TestFlightRecorderRotation(t *testing.T) {
 // seeds disagree on the phase.
 func TestJitterSpread(t *testing.T) {
 	const d = 100 * time.Millisecond
-	j := chaos.NewJitter(7)
+	j := faultmesh.NewJitter(7)
 	distinct := map[time.Duration]bool{}
 	for i := 0; i < 1000; i++ {
 		got := j.Scale(d)
@@ -205,7 +205,7 @@ func TestJitterSpread(t *testing.T) {
 	}
 
 	// Same seed, same schedule; different seed, different phase.
-	a, b, c := chaos.NewJitter(7), chaos.NewJitter(7), chaos.NewJitter(8)
+	a, b, c := faultmesh.NewJitter(7), faultmesh.NewJitter(7), faultmesh.NewJitter(8)
 	same, diff := true, false
 	for i := 0; i < 64; i++ {
 		x := a.Scale(d)
@@ -224,7 +224,7 @@ func TestJitterSpread(t *testing.T) {
 	}
 
 	// Nil source and degenerate delays pass through untouched.
-	var nilJ *chaos.Jitter
+	var nilJ *faultmesh.Jitter
 	if got := nilJ.Scale(d); got != d {
 		t.Fatalf("nil jitter scaled %v to %v", d, got)
 	}

@@ -1,8 +1,8 @@
-package faultmesh
+package faultmesh_test
 
 // The chaos-campaign acceptance test: a seeded hostile-environment run —
-// mesh faults on every gateway→replica wire, disk faults under every
-// journal, a conductor draining/killing/restarting replicas — after which
+// one fault plane on every gateway→replica wire and under every journal,
+// a conductor draining/killing/restarting replicas — after which
 // every campaign invariant must hold: zero acked-then-lost jobs, no
 // duplicate results, exactly-once detection delivery, oracle-identical
 // outputs, breakers re-closed, journals recovered.
@@ -15,13 +15,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"splitmem/internal/faultmesh/campaign"
 )
 
 func TestChaosCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos campaign is a multi-second hostile load run")
 	}
-	rep, err := RunCampaign(CampaignConfig{
+	rep, err := campaign.Run(campaign.Config{
 		Seed:    42,
 		Clients: campaignClients,
 		MaxWall: 4 * time.Minute,
@@ -30,8 +32,7 @@ func TestChaosCampaign(t *testing.T) {
 		t.Fatalf("campaign setup: %v", err)
 	}
 	t.Logf("campaign seed=%d clients=%d wall=%v", rep.Seed, rep.Clients, rep.Wall.Round(time.Millisecond))
-	t.Logf("mesh faults: %+v", rep.MeshFault)
-	t.Logf("disk faults: %+v", rep.DiskFault)
+	t.Logf("faults: %+v", rep.Stats)
 	if rep.Load != nil {
 		t.Logf("%s", rep.Load.String())
 	}

@@ -1,17 +1,13 @@
 package faultmesh
 
-// Disk-level fault injection for the serve journal: ENOSPC (in bursts —
-// full disks stay full), short writes, fsync failures, and read
-// corruption during replay. DiskFaults implements serve.DiskFaultInjector;
-// the journal consults it on every write, sync, and replayed record.
+// The disk class, for the serve journal: ENOSPC (in bursts — full disks
+// stay full), short writes, fsync failures, and read corruption during
+// replay. The Plane implements serve.DiskFaultInjector; the journal
+// consults it on every write, sync, and replayed record.
 
-import (
-	"errors"
-	"sync"
-	"sync/atomic"
-)
+import "errors"
 
-// Errors the disk layer injects. They read like their errno counterparts
+// Errors the disk class injects. They read like their errno counterparts
 // so log lines stay legible.
 var (
 	// ErrInjectedENOSPC stands in for ENOSPC: the write (or its tail, for
@@ -22,116 +18,28 @@ var (
 	ErrInjectedSyncFail = errors.New("faultmesh: injected fsync failure (input/output error)")
 )
 
-// DiskConfig sets the disk fault rates. Every rate is a probability in
-// [0, 1] per opportunity (per write, per fsync, per replayed record).
-type DiskConfig struct {
-	// Seed drives the private splitmix64 stream; equal seeds and configs
-	// inject identical fault schedules.
-	Seed uint64
-
-	// ENOSPC is the per-write probability of a full-disk event. Each event
-	// fails ENOSPCBurst consecutive writes (default 4): real full disks do
-	// not heal between appends, and the burst is what pushes the journal
-	// past its degradation threshold.
-	ENOSPC      float64
-	ENOSPCBurst int
-
-	ShortWrite  float64 // per write: only half the bytes reach the file
-	SyncFail    float64 // per fsync
-	ReadCorrupt float64 // per replayed record: flip one payload bit
-}
-
-func (c DiskConfig) withDefaults() DiskConfig {
-	if c.ENOSPCBurst <= 0 {
-		c.ENOSPCBurst = 4
-	}
-	return c
-}
-
-// Enabled reports whether any disk fault class has a nonzero rate.
-func (c DiskConfig) Enabled() bool {
-	return c.ENOSPC > 0 || c.ShortWrite > 0 || c.SyncFail > 0 || c.ReadCorrupt > 0
-}
-
-// DiskStats counts injected disk faults by class.
-type DiskStats struct {
-	ENOSPCs         uint64
-	ShortWrites     uint64
-	SyncFails       uint64
-	ReadCorruptions uint64
-}
-
-// DiskFaults injects storage faults. One instance may be shared by every
-// replica in a harness (each consults it under its own journal lock); the
-// stream is mutex-guarded.
-type DiskFaults struct {
-	cfg      DiskConfig
-	disabled atomic.Bool
-
-	mu        sync.Mutex
-	state     uint64
-	burstLeft int
-	stats     DiskStats
-}
-
-// NewDisk creates a disk fault injector.
-func NewDisk(cfg DiskConfig) *DiskFaults {
-	return &DiskFaults{cfg: cfg.withDefaults(), state: cfg.Seed ^ 0xE7037ED1A0B428DB}
-}
-
-// Quiesce stops injection: the disk "heals", letting degraded journals
-// prove they recover. Resume re-enables it with the stream position kept.
-func (d *DiskFaults) Quiesce() { d.disabled.Store(true) }
-
-// Resume re-enables injection after a Quiesce.
-func (d *DiskFaults) Resume() { d.disabled.Store(false) }
-
-// Stats snapshots the per-class fault counters.
-func (d *DiskFaults) Stats() DiskStats {
-	if d == nil {
-		return DiskStats{}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-func (d *DiskFaults) next() uint64 {
-	d.state += 0x9E3779B97F4A7C15
-	z := d.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (d *DiskFaults) roll(rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	return float64(d.next()>>11)/(1<<53) < rate
-}
-
 // BeforeWrite implements serve.DiskFaultInjector: consulted once per
 // journal write of n bytes. It returns how many bytes may reach the file
 // and, when fewer than n, the error the write must report.
-func (d *DiskFaults) BeforeWrite(n int) (int, error) {
-	if d == nil || d.disabled.Load() {
+func (p *Plane) BeforeWrite(n int) (int, error) {
+	if p == nil || p.quiet.Load() {
 		return n, nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.burstLeft > 0 {
-		d.burstLeft--
-		d.stats.ENOSPCs++
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ds := &p.stats.Disk
+	if p.burstLeft > 0 {
+		p.burstLeft--
+		ds.ENOSPCs++
 		return 0, ErrInjectedENOSPC
 	}
-	if d.roll(d.cfg.ENOSPC) {
-		d.burstLeft = d.cfg.ENOSPCBurst - 1
-		d.stats.ENOSPCs++
+	if p.disk.roll(p.cfg.ENOSPC) {
+		p.burstLeft = p.cfg.ENOSPCBurst - 1
+		ds.ENOSPCs++
 		return 0, ErrInjectedENOSPC
 	}
-	if d.roll(d.cfg.ShortWrite) {
-		d.stats.ShortWrites++
+	if p.disk.roll(p.cfg.ShortWrite) {
+		ds.ShortWrites++
 		return n / 2, ErrInjectedENOSPC
 	}
 	return n, nil
@@ -140,14 +48,8 @@ func (d *DiskFaults) BeforeWrite(n int) (int, error) {
 // BeforeSync implements serve.DiskFaultInjector: a non-nil return means
 // the fsync failed and durability of everything since the last good sync
 // is unknown.
-func (d *DiskFaults) BeforeSync() error {
-	if d == nil || d.disabled.Load() {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.roll(d.cfg.SyncFail) {
-		d.stats.SyncFails++
+func (p *Plane) BeforeSync() error {
+	if p != nil && p.fire(&p.disk, p.cfg.SyncFail, &p.stats.Disk.SyncFails) {
 		return ErrInjectedSyncFail
 	}
 	return nil
@@ -156,17 +58,16 @@ func (d *DiskFaults) BeforeSync() error {
 // OnRead implements serve.DiskFaultInjector: it may flip one bit of a
 // replayed record's payload in place (bit rot between the CRC being
 // written and the record being read back), returning true if it did.
-func (d *DiskFaults) OnRead(p []byte) bool {
-	if d == nil || d.disabled.Load() || len(p) == 0 {
+func (p *Plane) OnRead(b []byte) bool {
+	if p == nil || !p.active(p.cfg.ReadCorrupt) || len(b) == 0 {
 		return false
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.roll(d.cfg.ReadCorrupt) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.disk.roll(p.cfg.ReadCorrupt) {
 		return false
 	}
-	pos := d.next()
-	p[pos%uint64(len(p))] ^= 1 << (pos % 8)
-	d.stats.ReadCorruptions++
+	flipBit(b, p.disk.next())
+	p.stats.Disk.ReadCorruptions++
 	return true
 }

@@ -1,58 +1,63 @@
-// Package faultmesh injects transport- and disk-level faults into the
-// serving stack: the layer where real clusters die. The architectural
-// injector (internal/chaos.Injector) attacks the simulated hardware, the
-// host injector attacks one replica's process machinery, and the cluster
-// injector attacks whole replicas — but nothing before this package
-// attacked the *wires and disks between* the tiers. The mesh wraps the
-// gateway's replica-facing http.RoundTripper with seeded latency spikes,
-// connection resets (before delivery and mid-response), symmetric and
-// asymmetric partitions, slow-loris byte trickling, response truncation,
-// and header/body corruption; DiskFaults (disk.go) feeds ENOSPC, short
-// writes, fsync failures, and read corruption into the serve journal.
+// Package faultmesh is the serving stack's host-fault plane: one seeded,
+// goroutine-safe source of every fault the machinery around the simulator
+// can suffer. Guest faults (internal/chaos) attack the simulated hardware
+// and are part of the snapshotted machine state; the plane attacks the
+// processes, wires and disks the service runs on, and is never
+// snapshotted. Its fault classes:
 //
-// Determinism contract: every fault decision is drawn from a per-link
-// splitmix64 stream seeded by (Config.Seed, link host). The nth request on
-// a given link draws the same fault plan for the same seed and config
-// regardless of wall-clock timing or interleaving across links, so a
-// failing chaos campaign is reproducible from its logged seed.
+//   - process: a worker killed mid-slice (KillWorker) and a journal append
+//     torn partway (TearJournal);
+//   - gateway: a checkpoint image corrupted in transit during live
+//     migration (CorruptCheckpoint);
+//   - transport: the gateway's replica-facing http.RoundTripper with
+//     latency spikes, connection resets before delivery and mid-response,
+//     symmetric and asymmetric partitions, slow-loris trickling, response
+//     truncation, and header and body corruption (Transport, Client);
+//   - disk: ENOSPC bursts, short writes, fsync failures and read
+//     corruption under the serve journal (BeforeWrite, BeforeSync, OnRead).
+//
+// One plane may be shared by a gateway and every replica behind it;
+// Quiesce and Resume stop and restart every class at once, and Stats is
+// the one report.
+//
+// Determinism contract: every decision is drawn from a splitmix64 stream
+// seeded by Config.Seed XOR a per-class salt (transport: per link, salted
+// again by the link's host). The nth decision of a class — on a given link,
+// for transport — is the same for the same seed and config regardless of
+// wall-clock timing or interleaving with other classes, so a failing
+// chaos campaign is reproducible from its logged seed. Jitter and the
+// campaign conductor draw from the same stream type.
 package faultmesh
 
 import (
-	"errors"
-	"io"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Errors the mesh returns in place of transport-level failures. They
-// surface to the gateway exactly as a real reset or partition would: as a
-// *url.Error from http.Client.Do.
-var (
-	// ErrInjectedReset stands in for ECONNRESET: the connection died
-	// before (or while) the request was delivered.
-	ErrInjectedReset = errors.New("faultmesh: injected connection reset")
-	// ErrInjectedPartition stands in for a network partition: the packet
-	// left, nothing ever came back.
-	ErrInjectedPartition = errors.New("faultmesh: injected partition (no route to host)")
-)
-
-// Config sets the per-fault-class injection rates. Every rate is a
-// probability in [0, 1] evaluated once per request on a link (partition
-// windows, once armed, consume requests without further draws). The zero
-// value injects nothing.
+// Config sets the per-class injection rates. Every rate is a probability
+// in [0, 1] evaluated once per opportunity for that class, as noted. The
+// zero value injects nothing.
 type Config struct {
-	// Seed drives every per-link stream; equal seeds and configs inject
+	// Seed drives every class's stream; equal seeds and configs inject
 	// identical fault schedules.
 	Seed uint64
 
-	Latency    float64       // per request: delay delivery by a draw from [LatencyMin, LatencyMax]
+	// Process faults.
+	WorkerKill  float64 // per checkpoint slice: panic the worker mid-job
+	JournalTear float64 // per journal append: truncate the record partway (torn write)
+
+	// Gateway fault.
+	CheckpointCorrupt float64 // per checkpoint transfer: flip one bit of the shipped image
+
+	// Transport faults, per request on a gateway→replica link (partition
+	// windows, once armed, consume requests without further draws).
+	Latency    float64       // delay delivery by a draw from [LatencyMin, LatencyMax]
 	LatencyMin time.Duration // default 1ms
 	LatencyMax time.Duration // default 20ms
 
-	Reset    float64 // per request: reset the connection before delivery
-	ResetMid float64 // per request: deliver headers, then reset mid-body
+	Reset    float64 // reset the connection before delivery
+	ResetMid float64 // deliver headers, then reset mid-body
 
 	// Partition opens a partition window on the link: the next
 	// PartitionLen requests (default 6) are swallowed. Asymmetric is the
@@ -63,19 +68,30 @@ type Config struct {
 	PartitionLen int
 	Asymmetric   float64
 
-	SlowLoris      float64       // per request: trickle the first SlowLorisBytes of the response one byte at a time
+	SlowLoris      float64       // trickle the first SlowLorisBytes of the response one byte at a time
 	SlowLorisDelay time.Duration // per-byte delay, default 1ms
 	SlowLorisBytes int           // default 64
 
-	Truncate float64 // per request: end the response body early (clean EOF mid-stream)
+	Truncate float64 // end the response body early (clean EOF mid-stream)
 
-	CorruptHeader float64 // per request: mangle a response header value
-	Corrupt       float64 // per request: flip one bit of the response body
+	CorruptHeader float64 // mangle a response header value
+	Corrupt       float64 // flip one bit of the response body
 	// CorruptPaths restricts body corruption to requests whose URL path
 	// contains one of these substrings (empty = all paths). Campaigns that
 	// assert oracle-identical outputs point this at the checkpoint-fetch
 	// paths, where the snapshot CRC gate catches every flip.
 	CorruptPaths []string
+
+	// Disk faults, per opportunity (per write, per fsync, per replayed
+	// record). ENOSPC is the per-write probability of a full-disk event;
+	// each event fails ENOSPCBurst consecutive writes (default 4): real full
+	// disks do not heal between appends, and the burst is what pushes the
+	// journal past its degradation threshold.
+	ENOSPC      float64
+	ENOSPCBurst int
+	ShortWrite  float64 // only half the bytes reach the file
+	SyncFail    float64 // the fsync fails
+	ReadCorrupt float64 // flip one bit of a replayed record's payload
 }
 
 func (c Config) withDefaults() Config {
@@ -97,394 +113,247 @@ func (c Config) withDefaults() Config {
 	if c.SlowLorisBytes <= 0 {
 		c.SlowLorisBytes = 64
 	}
+	if c.ENOSPCBurst <= 0 {
+		c.ENOSPCBurst = 4
+	}
 	return c
 }
 
 // Enabled reports whether any fault class has a nonzero rate.
 func (c Config) Enabled() bool {
-	return c.Latency > 0 || c.Reset > 0 || c.ResetMid > 0 || c.Partition > 0 ||
-		c.SlowLoris > 0 || c.Truncate > 0 || c.CorruptHeader > 0 || c.Corrupt > 0
+	return c.WorkerKill > 0 || c.JournalTear > 0 || c.CheckpointCorrupt > 0 ||
+		c.Latency > 0 || c.Reset > 0 || c.ResetMid > 0 || c.Partition > 0 ||
+		c.SlowLoris > 0 || c.Truncate > 0 || c.CorruptHeader > 0 || c.Corrupt > 0 ||
+		c.ENOSPC > 0 || c.ShortWrite > 0 || c.SyncFail > 0 || c.ReadCorrupt > 0
 }
 
-// Stats counts injected transport faults by class.
+// Stats counts injected faults by class.
 type Stats struct {
-	Latencies         uint64
-	Resets            uint64
-	MidResets         uint64
-	PartitionWindows  uint64
-	PartitionDrops    uint64
-	SlowLoris         uint64
-	Truncations       uint64
-	HeaderCorruptions uint64
-	BodyCorruptions   uint64
+	Process struct {
+		WorkerKills  uint64
+		JournalTears uint64
+	} `json:"process_faults"`
+	Gateway struct {
+		CheckpointCorruptions uint64
+	} `json:"gateway_faults"`
+	Mesh struct {
+		Latencies         uint64
+		Resets            uint64
+		MidResets         uint64
+		PartitionWindows  uint64
+		PartitionDrops    uint64
+		SlowLoris         uint64
+		Truncations       uint64
+		HeaderCorruptions uint64
+		BodyCorruptions   uint64
+	} `json:"mesh_faults"`
+	Disk struct {
+		ENOSPCs         uint64
+		ShortWrites     uint64
+		SyncFails       uint64
+		ReadCorruptions uint64
+	} `json:"disk_faults"`
 }
 
-// Total sums every injected fault.
-func (s Stats) Total() uint64 {
-	return s.Latencies + s.Resets + s.MidResets + s.PartitionDrops +
-		s.SlowLoris + s.Truncations + s.HeaderCorruptions + s.BodyCorruptions
-}
+// Stream salts: each class XORs the seed with its own constant, so a zero
+// seed still draws a non-degenerate sequence and enabling one class never
+// shifts another's schedule.
+const (
+	saltProcess   = 0xD1B54A32D192ED03
+	saltGateway   = 0xA0761D6478BD642F
+	saltLink      = 0x2545F4914F6CDD1D // also XOR'd with the FNV-1a hash of the link's host
+	saltDisk      = 0xE7037ED1A0B428DB
+	saltJitter    = 0x6C62272E07BB0142
+	saltConductor = 0x853C49E6748FEA9B
+)
 
-// Mesh is the transport fault injector. One Mesh wraps every
-// gateway→replica link; per-link state keeps the fault schedule of each
-// link independent and deterministic.
-type Mesh struct {
-	cfg      Config
-	disabled atomic.Bool
+// stream is a splitmix64 generator: the one random source behind every
+// fault class, Jitter and the campaign conductor. It is not synchronized;
+// its owner serializes draws.
+type stream struct{ state uint64 }
 
-	mu    sync.Mutex
-	links map[string]*link
+func newStream(seed, salt uint64) stream { return stream{state: seed ^ salt} }
 
-	latencies         atomic.Uint64
-	resets            atomic.Uint64
-	midResets         atomic.Uint64
-	partitionWindows  atomic.Uint64
-	partitionDrops    atomic.Uint64
-	slowLoris         atomic.Uint64
-	truncations       atomic.Uint64
-	headerCorruptions atomic.Uint64
-	bodyCorruptions   atomic.Uint64
-}
-
-// link holds one destination host's stream state.
-type link struct {
-	mu       sync.Mutex
-	state    uint64 // splitmix64
-	partLeft int    // requests remaining in the open partition window
-	partAsym bool
-}
-
-// New creates a mesh. A nil return never happens; a zero config injects
-// nothing but still routes.
-func New(cfg Config) *Mesh {
-	return &Mesh{cfg: cfg.withDefaults(), links: map[string]*link{}}
-}
-
-// Quiesce stops all injection (in-flight faulted bodies finish as
-// planned). Campaigns call it before checking recovery invariants: the
-// cluster must heal once the hostile weather stops.
-func (m *Mesh) Quiesce() { m.disabled.Store(true) }
-
-// Resume re-enables injection after a Quiesce. Stream positions are kept:
-// the schedule continues where it left off.
-func (m *Mesh) Resume() { m.disabled.Store(false) }
-
-// Stats snapshots the per-class injection counters.
-func (m *Mesh) Stats() Stats {
-	return Stats{
-		Latencies:         m.latencies.Load(),
-		Resets:            m.resets.Load(),
-		MidResets:         m.midResets.Load(),
-		PartitionWindows:  m.partitionWindows.Load(),
-		PartitionDrops:    m.partitionDrops.Load(),
-		SlowLoris:         m.slowLoris.Load(),
-		Truncations:       m.truncations.Load(),
-		HeaderCorruptions: m.headerCorruptions.Load(),
-		BodyCorruptions:   m.bodyCorruptions.Load(),
-	}
-}
-
-// Transport wraps an inner RoundTripper (nil = http.DefaultTransport)
-// with the mesh's fault schedule.
-func (m *Mesh) Transport(inner http.RoundTripper) http.RoundTripper {
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return &transport{mesh: m, inner: inner}
-}
-
-// Client is a convenience: an http.Client whose every request crosses the
-// mesh.
-func (m *Mesh) Client() *http.Client {
-	return &http.Client{Transport: m.Transport(nil)}
-}
-
-func (m *Mesh) link(host string) *link {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l := m.links[host]
-	if l == nil {
-		l = &link{state: m.cfg.Seed ^ fnv64(host) ^ 0x2545F4914F6CDD1D}
-		m.links[host] = l
-	}
-	return l
-}
-
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// next advances a link's splitmix64 stream. Callers hold l.mu.
-func (l *link) next() uint64 {
-	l.state += 0x9E3779B97F4A7C15
-	z := l.state
+func (s *stream) next() uint64 {
+	s.state += 0x9E3779B97F4A7C15
+	z := s.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
 
-// roll draws once. Callers hold l.mu.
-func (l *link) roll(rate float64) bool {
+// roll reports whether an event with the given probability fires. A
+// non-positive rate never fires and draws nothing.
+func (s *stream) roll(rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
-	return float64(l.next()>>11)/(1<<53) < rate
+	return float64(s.next()>>11)/(1<<53) < rate
 }
 
-// plan is one request's fault schedule, drawn atomically under the link
-// lock so the decision sequence is a pure function of (seed, link,
-// request ordinal).
-type plan struct {
-	partition     bool
-	partitionAsym bool
-	latency       time.Duration
-	reset         bool
-	resetMid      bool
-	resetMidAfter int
-	slow          bool
-	truncate      bool
-	truncateAfter int
-	corruptHeader bool
-	corrupt       bool
-	corruptOff    int
-	corruptBit    byte
+// flipBit flips the bit of b that pos selects.
+func flipBit(b []byte, pos uint64) {
+	b[pos%uint64(len(b))] ^= 1 << (pos % 8)
 }
 
-func (m *Mesh) plan(req *http.Request) plan {
-	l := m.link(req.URL.Host)
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// Plane is the host-fault injector. Every method is safe on a nil Plane
+// (which never injects) and from any number of goroutines.
+type Plane struct {
+	cfg   Config
+	quiet atomic.Bool
 
-	var p plan
-	// An open partition window dominates everything: it swallows requests
-	// without consuming further stream draws.
-	if l.partLeft > 0 {
-		l.partLeft--
-		p.partition, p.partitionAsym = true, l.partAsym
-		return p
-	}
-	if l.roll(m.cfg.Partition) {
-		l.partAsym = l.roll(m.cfg.Asymmetric)
-		l.partLeft = m.cfg.PartitionLen - 1 // this request consumes the first slot
-		m.partitionWindows.Add(1)
-		p.partition, p.partitionAsym = true, l.partAsym
-		return p
-	}
-	if l.roll(m.cfg.Latency) {
-		span := uint64(m.cfg.LatencyMax-m.cfg.LatencyMin) + 1
-		p.latency = m.cfg.LatencyMin + time.Duration(l.next()%span)
-	}
-	p.reset = l.roll(m.cfg.Reset)
-	if l.roll(m.cfg.ResetMid) {
-		p.resetMid = true
-		p.resetMidAfter = 1 + int(l.next()%1024)
-	}
-	p.slow = l.roll(m.cfg.SlowLoris)
-	if l.roll(m.cfg.Truncate) {
-		p.truncate = true
-		p.truncateAfter = 1 + int(l.next()%1024)
-	}
-	p.corruptHeader = l.roll(m.cfg.CorruptHeader)
-	if l.roll(m.cfg.Corrupt) && m.corruptiblePath(req.URL.Path) {
-		p.corrupt = true
-		pos := l.next()
-		p.corruptOff = int(pos % 4096)
-		p.corruptBit = byte(pos>>32) % 8
-	}
-	return p
+	mu        sync.Mutex // guards everything below
+	process   stream
+	gateway   stream
+	disk      stream
+	conductor stream
+	burstLeft int              // writes left in the current ENOSPC burst
+	links     map[string]*link // transport stream per destination host
+	stats     Stats
 }
 
-func (m *Mesh) corruptiblePath(path string) bool {
-	if len(m.cfg.CorruptPaths) == 0 {
-		return true
-	}
-	for _, sub := range m.cfg.CorruptPaths {
-		if sub != "" && contains(path, sub) {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-type transport struct {
-	mesh  *Mesh
-	inner http.RoundTripper
-}
-
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	m := t.mesh
-	if m.disabled.Load() {
-		return t.inner.RoundTrip(req)
-	}
-	p := m.plan(req)
-
-	if p.partition {
-		m.partitionDrops.Add(1)
-		if !p.partitionAsym {
-			return nil, ErrInjectedPartition
-		}
-		// Asymmetric: the request reaches the replica and takes effect
-		// there; the response vanishes on the way back.
-		resp, err := t.inner.RoundTrip(req)
-		if err == nil && resp != nil {
-			resp.Body.Close()
-		}
-		return nil, ErrInjectedPartition
-	}
-	if p.latency > 0 {
-		m.latencies.Add(1)
-		tm := time.NewTimer(p.latency)
-		select {
-		case <-tm.C:
-		case <-req.Context().Done():
-			tm.Stop()
-			return nil, req.Context().Err()
-		}
-	}
-	if p.reset {
-		m.resets.Add(1)
-		return nil, ErrInjectedReset
-	}
-
-	resp, err := t.inner.RoundTrip(req)
-	if err != nil || resp == nil {
-		return resp, err
-	}
-	if p.corruptHeader {
-		m.headerCorruptions.Add(1)
-		corruptHeaders(resp.Header)
-	}
-	// Wrap innermost-first so corruption happens before truncation can
-	// hide it and slow-loris delays apply to whatever survives.
-	body := resp.Body
-	if p.corrupt {
-		m.bodyCorruptions.Add(1)
-		body = &corruptBody{rc: body, off: p.corruptOff, bit: p.corruptBit}
-	}
-	if p.truncate {
-		m.truncations.Add(1)
-		body = &truncateBody{rc: body, left: p.truncateAfter}
-	}
-	if p.resetMid {
-		m.midResets.Add(1)
-		body = &resetBody{rc: body, left: p.resetMidAfter}
-	}
-	if p.slow {
-		m.slowLoris.Add(1)
-		body = &slowBody{rc: body, delay: m.cfg.SlowLorisDelay, left: m.cfg.SlowLorisBytes}
-	}
-	resp.Body = body
-	return resp, nil
-}
-
-// corruptHeaders mangles advisory response metadata: Retry-After becomes
-// unparseable (receivers must fall back to their own backoff) and the
-// Content-Type gets a flipped first byte. Neither touches the payload, so
-// stream framing stays intact — header corruption tests the parsers, body
-// corruption tests the checksums.
-func corruptHeaders(h http.Header) {
-	if h.Get("Retry-After") != "" {
-		h.Set("Retry-After", "garbled")
-	}
-	if ct := h.Get("Content-Type"); ct != "" {
-		b := []byte(ct)
-		b[0] ^= 0x20
-		h.Set("Content-Type", string(b))
+// New creates a plane. A zero config injects nothing.
+func New(cfg Config) *Plane {
+	return &Plane{
+		cfg:       cfg.withDefaults(),
+		process:   newStream(cfg.Seed, saltProcess),
+		gateway:   newStream(cfg.Seed, saltGateway),
+		disk:      newStream(cfg.Seed, saltDisk),
+		conductor: newStream(cfg.Seed, saltConductor),
+		links:     map[string]*link{},
 	}
 }
 
-// truncateBody ends the response cleanly after left bytes: the peer
-// looks like it closed the stream mid-message.
-type truncateBody struct {
-	rc   io.ReadCloser
-	left int
-}
-
-func (b *truncateBody) Read(p []byte) (int, error) {
-	if b.left <= 0 {
-		return 0, io.EOF
+// Quiesce stops all injection (in-flight faulted bodies finish as planned).
+// Campaigns call it before checking recovery invariants: the cluster must
+// heal once the hostile weather stops.
+func (p *Plane) Quiesce() {
+	if p != nil {
+		p.quiet.Store(true)
 	}
-	if len(p) > b.left {
-		p = p[:b.left]
+}
+
+// Resume re-enables injection after a Quiesce. Stream positions are kept:
+// the schedule continues where it left off.
+func (p *Plane) Resume() {
+	if p != nil {
+		p.quiet.Store(false)
 	}
-	n, err := b.rc.Read(p)
-	b.left -= n
-	return n, err
 }
 
-func (b *truncateBody) Close() error { return b.rc.Close() }
-
-// resetBody dies after left bytes with a reset error — the mid-response
-// connection loss a crashing middlebox produces.
-type resetBody struct {
-	rc   io.ReadCloser
-	left int
+// active reports whether a class with this rate may fire now. Callers
+// have checked p for nil.
+func (p *Plane) active(rate float64) bool {
+	return rate > 0 && !p.quiet.Load()
 }
 
-func (b *resetBody) Read(p []byte) (int, error) {
-	if b.left <= 0 {
-		return 0, ErrInjectedReset
+// Stats snapshots the per-class injection counters.
+func (p *Plane) Stats() Stats {
+	if p == nil {
+		return Stats{}
 	}
-	if len(p) > b.left {
-		p = p[:b.left]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
+}
+
+// add bumps one counter.
+func (p *Plane) add(n *uint64) {
+	p.mu.Lock()
+	*n++
+	p.mu.Unlock()
+}
+
+// fire draws once from s and counts a hit in n.
+func (p *Plane) fire(s *stream, rate float64, n *uint64) bool {
+	if !p.active(rate) {
+		return false
 	}
-	n, err := b.rc.Read(p)
-	b.left -= n
-	return n, err
-}
-
-func (b *resetBody) Close() error { return b.rc.Close() }
-
-// slowBody trickles the first left bytes one at a time with a delay each —
-// slow-loris from the server side. Total added stall is bounded by
-// left*delay, so deadlines and watchdogs, not luck, decide survival.
-type slowBody struct {
-	rc    io.ReadCloser
-	delay time.Duration
-	left  int
-}
-
-func (b *slowBody) Read(p []byte) (int, error) {
-	if b.left <= 0 || len(p) == 0 {
-		return b.rc.Read(p)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !s.roll(rate) {
+		return false
 	}
-	b.left--
-	time.Sleep(b.delay)
-	return b.rc.Read(p[:1])
+	*n++
+	return true
 }
 
-func (b *slowBody) Close() error { return b.rc.Close() }
-
-// corruptBody flips one bit at a fixed stream offset (if the body is long
-// enough to reach it).
-type corruptBody struct {
-	rc   io.ReadCloser
-	off  int
-	bit  byte
-	seen int
+// KillWorker reports whether the worker should panic now (asked once per
+// checkpoint slice).
+func (p *Plane) KillWorker() bool {
+	return p != nil && p.fire(&p.process, p.cfg.WorkerKill, &p.stats.Process.WorkerKills)
 }
 
-func (b *corruptBody) Read(p []byte) (int, error) {
-	n, err := b.rc.Read(p)
-	if n > 0 && b.off >= b.seen && b.off < b.seen+n {
-		p[b.off-b.seen] ^= 1 << b.bit
+// TearJournal reports whether the journal append in progress should be
+// torn (asked once per append).
+func (p *Plane) TearJournal() bool {
+	return p != nil && p.fire(&p.process, p.cfg.JournalTear, &p.stats.Process.JournalTears)
+}
+
+// CorruptCheckpoint flips one stream-drawn bit of a checkpoint image in
+// transit and reports whether it did. The flip position is drawn even for
+// empty images (to keep the stream aligned across runs that differ only in
+// checkpoint presence) but nothing is modified then. The machine image's
+// trailer CRC, checked by splitmem.VerifyImage, must catch every corruption
+// this injects.
+func (p *Plane) CorruptCheckpoint(img []byte) bool {
+	if p == nil || !p.active(p.cfg.CheckpointCorrupt) {
+		return false
 	}
-	b.seen += n
-	return n, err
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.gateway.roll(p.cfg.CheckpointCorrupt) {
+		return false
+	}
+	pos := p.gateway.next()
+	if len(img) == 0 {
+		return false
+	}
+	flipBit(img, pos)
+	p.stats.Gateway.CheckpointCorruptions++
+	return true
 }
 
-func (b *corruptBody) Close() error { return b.rc.Close() }
+// Draw returns the next value of the conductor stream: the draws a
+// harness uses to schedule the process faults it performs itself (the
+// campaign's drain, kill and restart rounds). A nil plane draws zero.
+func (p *Plane) Draw() uint64 {
+	if p == nil {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conductor.next()
+}
+
+// Jitter is a seeded source of retry-delay jitter, shared by every
+// backoff site in the tree (gateway shed-retry, worker restart backoff,
+// loadtest Retry503). Synchronized retries are a fault amplifier: when one
+// replica sheds, every client that hit it sleeps the same deterministic
+// backoff and stampedes back in lockstep. Scale breaks the lockstep with
+// "equal jitter": a base delay d maps to a uniform draw from [d/2, d), so
+// the mean stays at 3d/4 while no two seeded sources agree on the phase.
+// Mutex-guarded: retry loops on different goroutines share one source. A
+// nil Jitter scales nothing (Scale returns d unchanged).
+type Jitter struct {
+	mu sync.Mutex
+	s  stream
+}
+
+// NewJitter creates a jitter source.
+func NewJitter(seed uint64) *Jitter {
+	return &Jitter{s: newStream(seed, saltJitter)}
+}
+
+// Scale maps a base delay to a uniform draw from [d/2, d). Non-positive
+// delays and nil sources pass through unchanged.
+func (j *Jitter) Scale(d time.Duration) time.Duration {
+	if j == nil || d <= time.Nanosecond {
+		return d
+	}
+	j.mu.Lock()
+	u := j.s.next()
+	j.mu.Unlock()
+	half := d / 2
+	return half + time.Duration(u%uint64(d-half))
+}

@@ -1,6 +1,6 @@
 package faultmesh
 
-// Unit tests for the mesh and disk injectors. The load-bearing property is
+// Unit tests for the fault plane's classes. The load-bearing property is
 // the determinism contract: equal seeds and configs must produce identical
 // fault schedules, because a failing chaos campaign is only debuggable if
 // its seed reproduces it. The rest pins each fault class's observable
@@ -109,7 +109,7 @@ func TestMeshDeterministic(t *testing.T) {
 	if statsA != statsB {
 		t.Fatalf("same seed, different fault counters:\n  A: %+v\n  B: %+v", statsA, statsB)
 	}
-	if statsA.Total() == 0 {
+	if statsA == (Stats{}) {
 		t.Fatalf("fault schedule injected nothing over %d requests: %+v", reqs, statsA)
 	}
 	for i := range outA {
@@ -153,7 +153,7 @@ func TestMeshPartition(t *testing.T) {
 		if hits.Load() != 0 {
 			t.Fatalf("symmetric partition delivered %d requests to the backend", hits.Load())
 		}
-		if s := m.Stats(); s.PartitionDrops != 5 || s.PartitionWindows == 0 {
+		if s := m.Stats(); s.Mesh.PartitionDrops != 5 || s.Mesh.PartitionWindows == 0 {
 			t.Fatalf("unexpected partition stats: %+v", s)
 		}
 	})
@@ -227,7 +227,7 @@ func TestMeshBodyFaults(t *testing.T) {
 			t.Fatalf("body corruption should flip one byte in place: len %d vs %d, %d bytes differ",
 				len(got), len(body), diff)
 		}
-		if m.Stats().BodyCorruptions != 1 {
+		if m.Stats().Mesh.BodyCorruptions != 1 {
 			t.Fatalf("stats: %+v", m.Stats())
 		}
 	})
@@ -249,11 +249,12 @@ func TestMeshBodyFaults(t *testing.T) {
 	})
 }
 
-// TestMeshQuiesce: a quiesced mesh is a clean wire; Resume picks the
-// schedule back up where it left off.
+// TestMeshQuiesce: a quiesced plane is a clean wire, a healthy disk and a
+// calm host at once; Resume picks every schedule back up.
 func TestMeshQuiesce(t *testing.T) {
 	srv, body := meshBackend(t, nil)
-	m := New(Config{Seed: 9, Reset: 1})
+	m := New(Config{Seed: 9, Reset: 1, WorkerKill: 1, JournalTear: 1, CheckpointCorrupt: 1,
+		ENOSPC: 1, SyncFail: 1, ReadCorrupt: 1})
 	client := m.Client()
 	if _, err := client.Get(srv.URL); !errors.Is(err, ErrInjectedReset) {
 		t.Fatalf("want injected reset before quiesce, got %v", err)
@@ -268,9 +269,18 @@ func TestMeshQuiesce(t *testing.T) {
 	if !bytes.Equal(got, body) {
 		t.Fatal("quiesced mesh mutated the body")
 	}
+	if m.KillWorker() || m.TearJournal() || m.CorruptCheckpoint([]byte{1}) || m.OnRead([]byte{1}) {
+		t.Fatal("quiesced plane fired a process, gateway or read fault")
+	}
+	if n, err := m.BeforeWrite(8); n != 8 || err != nil || m.BeforeSync() != nil {
+		t.Fatal("quiesced plane fired a disk fault")
+	}
 	m.Resume()
 	if _, err := client.Get(srv.URL); !errors.Is(err, ErrInjectedReset) {
 		t.Fatalf("resumed mesh must inject again, got %v", err)
+	}
+	if !m.KillWorker() || !m.TearJournal() || !m.CorruptCheckpoint([]byte{1}) || m.BeforeSync() == nil {
+		t.Fatal("resumed plane did not inject again")
 	}
 }
 
@@ -279,9 +289,9 @@ func TestMeshQuiesce(t *testing.T) {
 // past its degradation threshold), and Quiesce heals the disk.
 func TestDiskFaults(t *testing.T) {
 	t.Run("deterministic", func(t *testing.T) {
-		cfg := DiskConfig{Seed: 5, ENOSPC: 0.2, ENOSPCBurst: 3, ShortWrite: 0.2, SyncFail: 0.2, ReadCorrupt: 0.5}
-		run := func() ([]string, DiskStats) {
-			d := NewDisk(cfg)
+		cfg := Config{Seed: 5, ENOSPC: 0.2, ENOSPCBurst: 3, ShortWrite: 0.2, SyncFail: 0.2, ReadCorrupt: 0.5}
+		run := func() ([]string, Stats) {
+			d := New(cfg)
 			var outs []string
 			for i := 0; i < 200; i++ {
 				allow, err := d.BeforeWrite(100)
@@ -298,7 +308,7 @@ func TestDiskFaults(t *testing.T) {
 		if statsA != statsB {
 			t.Fatalf("same seed, different disk stats:\n  A: %+v\n  B: %+v", statsA, statsB)
 		}
-		if statsA.ENOSPCs == 0 || statsA.ShortWrites == 0 || statsA.SyncFails == 0 || statsA.ReadCorruptions == 0 {
+		if ds := statsA.Disk; ds.ENOSPCs == 0 || ds.ShortWrites == 0 || ds.SyncFails == 0 || ds.ReadCorruptions == 0 {
 			t.Fatalf("schedule left a fault class cold: %+v", statsA)
 		}
 		for i := range outA {
@@ -308,19 +318,19 @@ func TestDiskFaults(t *testing.T) {
 		}
 	})
 	t.Run("enospc-burst", func(t *testing.T) {
-		d := NewDisk(DiskConfig{Seed: 5, ENOSPC: 1, ENOSPCBurst: 3})
+		d := New(Config{Seed: 5, ENOSPC: 1, ENOSPCBurst: 3})
 		for i := 0; i < 3; i++ {
 			allow, err := d.BeforeWrite(64)
 			if allow != 0 || !errors.Is(err, ErrInjectedENOSPC) {
 				t.Fatalf("burst write %d: want (0, ENOSPC), got (%d, %v)", i, allow, err)
 			}
 		}
-		if got := d.Stats().ENOSPCs; got != 3 {
+		if got := d.Stats().Disk.ENOSPCs; got != 3 {
 			t.Fatalf("burst of 3 recorded %d ENOSPCs", got)
 		}
 	})
 	t.Run("quiesce", func(t *testing.T) {
-		d := NewDisk(DiskConfig{Seed: 5, ENOSPC: 1, SyncFail: 1})
+		d := New(Config{Seed: 5, ENOSPC: 1, SyncFail: 1})
 		d.Quiesce()
 		if allow, err := d.BeforeWrite(64); allow != 64 || err != nil {
 			t.Fatalf("quiesced disk must allow writes, got (%d, %v)", allow, err)

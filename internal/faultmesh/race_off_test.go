@@ -1,6 +1,6 @@
 //go:build !race
 
-package faultmesh
+package faultmesh_test
 
 // campaignClients is the chaos-campaign client count without the race
 // detector: the full acceptance-scale load.

@@ -1,6 +1,6 @@
 //go:build race
 
-package faultmesh
+package faultmesh_test
 
 // campaignClients is the chaos-campaign client count under the race
 // detector, scaled for its ~10x slowdown: the fault classes and invariants

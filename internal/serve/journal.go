@@ -40,14 +40,13 @@ import (
 	"sync"
 	"time"
 
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 	"splitmem/internal/snapshot"
 )
 
 // DiskFaultInjector injects storage-level faults into the journal's write,
-// sync, and replay paths. It is an interface (implemented by
-// internal/faultmesh.DiskFaults) so this package never imports the fault
-// mesh — the mesh imports serve, not the other way around. All methods are
+// sync, and replay paths. *faultmesh.Plane implements it; it is an
+// interface so tests can substitute a scripted disk. All methods are
 // consulted under the journal lock.
 type DiskFaultInjector interface {
 	// BeforeWrite is consulted once per file write of n bytes. It returns
@@ -119,7 +118,7 @@ type journal struct {
 	maxBytes  int64
 	torn      int    // torn/corrupt records detected (replay + in-process tears)
 	maxSeen   uint64 // highest job id in any replayed record, live or done
-	chaos     *chaos.HostInjector
+	tears     *faultmesh.Plane
 	faults    DiskFaultInjector
 	live      map[uint64]*journalJob // admitted, not yet done
 
@@ -140,16 +139,16 @@ type journal struct {
 }
 
 // openJournal opens (or creates) the journal at path, replays it, truncates
-// any torn tail, and positions for appending. inj, when non-nil, injects
+// any torn tail, and positions for appending. tears, when non-nil, injects
 // torn writes for the recovery chaos cells; faults, when non-nil, injects
 // disk-level faults (ENOSPC, short writes, fsync failures, read
 // corruption) into every subsequent write and the replay itself.
-func openJournal(path string, maxBytes int64, inj *chaos.HostInjector, faults DiskFaultInjector) (*journal, error) {
+func openJournal(path string, maxBytes int64, tears *faultmesh.Plane, faults DiskFaultInjector) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	j := &journal{f: f, path: path, maxBytes: maxBytes, chaos: inj, faults: faults, live: make(map[uint64]*journalJob)}
+	j := &journal{f: f, path: path, maxBytes: maxBytes, tears: tears, faults: faults, live: make(map[uint64]*journalJob)}
 	if err := j.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -318,7 +317,7 @@ func (j *journal) append(payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], snapshot.Checksum(payload))
-	if j.chaos.TearJournal() {
+	if j.tears.TearJournal() {
 		torn := append(hdr[:], payload[:len(payload)/2]...)
 		j.f.Write(torn)
 		j.dirtyTail = true

@@ -9,14 +9,14 @@ import (
 	"path/filepath"
 	"testing"
 
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 	"splitmem/internal/snapshot"
 )
 
-func tempJournal(t *testing.T, maxBytes int64, inj *chaos.HostInjector) (*journal, string) {
+func tempJournal(t *testing.T, maxBytes int64, tears *faultmesh.Plane) (*journal, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "jobs.journal")
-	j, err := openJournal(path, maxBytes, inj, nil)
+	j, err := openJournal(path, maxBytes, tears, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,8 @@ func TestJournalCompaction(t *testing.T) {
 }
 
 func TestJournalChaosTear(t *testing.T) {
-	inj := chaos.NewHost(chaos.HostConfig{Seed: 1, JournalTear: 1})
-	j, path := tempJournal(t, 1<<20, inj)
+	tears := faultmesh.New(faultmesh.Config{Seed: 1, JournalTear: 1})
+	j, path := tempJournal(t, 1<<20, tears)
 	if err := j.logJob(1, []byte(`{"source": "x"}`)); err == nil {
 		t.Fatal("torn write injected but append reported success")
 	}

@@ -20,7 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 )
 
 // busyLoop is the default job: a source program that spins long enough to
@@ -153,7 +153,7 @@ func Run(cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			jit := chaos.NewJitter(cfg.Seed ^ (uint64(c)+1)*0x9E3779B97F4A7C15)
+			jit := faultmesh.NewJitter(cfg.Seed ^ (uint64(c)+1)*0x9E3779B97F4A7C15)
 			for j := 0; j < cfg.Jobs; j++ {
 				body, err := cfg.Body(c, j)
 				if err != nil {

@@ -23,11 +23,12 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"splitmem"
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 )
 
 // loopSrc burns ~2M cycles across many stream slices, then exits 5 — long
@@ -98,7 +99,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	chaosCfg.JournalPath = filepath.Join(t.TempDir(), "jobs.journal")
 	chaosCfg.RetryBudget = 64
 	chaosCfg.RetryBackoff = time.Millisecond
-	chaosCfg.HostChaos = chaos.HostConfig{Seed: 42, WorkerKill: 0.35}
+	chaosCfg.Faults = faultmesh.New(faultmesh.Config{Seed: 42, WorkerKill: 0.35})
 	s, chaosTS := bootServer(t, chaosCfg)
 	got := submitSync(t, chaosTS.URL, body)
 
@@ -127,6 +128,60 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 	if logged.Reason != "all-done" || logged.Cycles != want.Cycles {
 		t.Fatalf("journaled result diverged: %+v", logged)
+	}
+}
+
+// TestWorkerPanicRecoveryConcurrent is the worker-kill cell with four
+// workers drawing kills from one fault plane at once: every concurrent job
+// must still match an undisturbed run. NoTracing matters: the span
+// recorder's lock would otherwise order the workers' draws and hide an
+// unsynchronized fault stream from the race detector.
+func TestWorkerPanicRecoveryConcurrent(t *testing.T) {
+	body := fmt.Sprintf(`{"name": "loop", "source": %q, "timeout_ms": 30000}`, loopSrc)
+	slices := Config{Workers: 4, StreamSlice: 100_000, CheckpointCycles: 100_000, NoTracing: true}
+
+	_, cleanTS := bootServer(t, slices)
+	want := submitSync(t, cleanTS.URL, body)
+
+	chaosCfg := slices
+	chaosCfg.RetryBudget = 64
+	chaosCfg.RetryBackoff = time.Millisecond
+	chaosCfg.Faults = faultmesh.New(faultmesh.Config{Seed: 42, WorkerKill: 0.35})
+	s, chaosTS := bootServer(t, chaosCfg)
+
+	got := make([]JobResult, chaosCfg.Workers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(chaosTS.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("job %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("job %d: status %d", i, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&got[i]); err != nil {
+				t.Errorf("job %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, g := range got {
+		if g.Reason != "all-done" || g.ExitStatus != want.ExitStatus || g.Cycles != want.Cycles ||
+			g.EventCount != want.EventCount || g.Detections != want.Detections || g.Stdout != want.Stdout {
+			t.Fatalf("job %d not identical to the clean run:\nclean %+v\nchaos %+v", i, want, g)
+		}
+	}
+	if kills := chaosCfg.Faults.Stats().Process.WorkerKills; kills == 0 || s.workerPanics.Load() != kills {
+		t.Fatalf("worker kills=%d panics=%d: want equal and nonzero", kills, s.workerPanics.Load())
 	}
 }
 
@@ -253,7 +308,7 @@ func TestRetryExhaustion(t *testing.T) {
 		CheckpointCycles: 100_000,
 		RetryBudget:      2,
 		RetryBackoff:     time.Millisecond,
-		HostChaos:        chaos.HostConfig{Seed: 9, WorkerKill: 1},
+		Faults:           faultmesh.New(faultmesh.Config{Seed: 9, WorkerKill: 1}),
 	}
 	s, ts := bootServer(t, cfg)
 	body := fmt.Sprintf(`{"name": "doomed", "source": %q, "timeout_ms": 30000}`, loopSrc)
@@ -354,7 +409,7 @@ func TestHealthzRecoveryState(t *testing.T) {
 		RetryBudget:      64,
 		RetryBackoff:     time.Millisecond,
 		JournalPath:      filepath.Join(t.TempDir(), "jobs.journal"),
-		HostChaos:        chaos.HostConfig{Seed: 42, WorkerKill: 0.35},
+		Faults:           faultmesh.New(faultmesh.Config{Seed: 42, WorkerKill: 0.35}),
 	}
 	_, ts := bootServer(t, cfg)
 	body := fmt.Sprintf(`{"name": "loop", "source": %q, "timeout_ms": 30000}`, loopSrc)

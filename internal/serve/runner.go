@@ -328,7 +328,7 @@ func (s *Server) runAttempt(ctx context.Context, j *job, sup *supervision) (err 
 		}
 		used += final.Cycles
 		s.rec.End(sliceSpan, "cycles", strconv.FormatUint(final.Cycles, 10))
-		if s.hostChaos.KillWorker() {
+		if s.cfg.Faults.KillWorker() {
 			// Injected crash before this slice's events reach the wire: the
 			// retry must replay and deliver them exactly once.
 			panic("chaos: worker killed mid-slice")

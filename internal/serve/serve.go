@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"splitmem"
-	"splitmem/internal/chaos"
+	"splitmem/internal/faultmesh"
 	"splitmem/internal/fleet"
 	"splitmem/internal/telemetry"
 	"splitmem/internal/telemetry/hostspan"
@@ -47,17 +47,15 @@ type Config struct {
 	RetryBackoff     time.Duration // first retry delay, doubled per attempt (default 10ms)
 	WatchdogSlice    time.Duration // wall-clock deadline for one stream slice (default 15s)
 
-	// DiskFaults, when non-nil, injects storage faults (ENOSPC, short
-	// writes, fsync failures, read corruption) into every journal write and
-	// replay — the fault-mesh chaos campaigns plug in here.
 	// JournalRecoveryInterval is how often a degraded journal retries the
 	// rewrite that restores durability (default 100ms).
-	DiskFaults              DiskFaultInjector
 	JournalRecoveryInterval time.Duration
 
-	// HostChaos injects host-level faults — worker kills mid-slice, torn
-	// journal writes — for the recovery chaos cells. Zero rates disable it.
-	HostChaos chaos.HostConfig
+	// Faults, when non-nil, injects host faults: worker kills mid-slice,
+	// torn journal appends, and disk faults (ENOSPC, short writes, fsync
+	// failures, read corruption) under every journal write and replay.
+	// The recovery chaos cells and the chaos campaign plug in here.
+	Faults *faultmesh.Plane
 
 	// WarmPool enables snapshot-forked job starts: the first job of each
 	// distinct (program, config) class builds a template image (machine
@@ -186,10 +184,9 @@ type Server struct {
 	// tests set it, to hold a job at a known checkpoint.
 	afterCheckpoint func(ctx context.Context, id uint64)
 
-	journal   *journal            // nil when Config.JournalPath is empty
-	hostChaos *chaos.HostInjector // nil unless Config.HostChaos has a live rate
-	rec       *hostspan.Recorder  // nil when Config.NoTracing
-	jitter    *chaos.Jitter       // desynchronizes the supervisor's retry backoff
+	journal *journal           // nil when Config.JournalPath is empty
+	rec     *hostspan.Recorder // nil when Config.NoTracing
+	jitter  *faultmesh.Jitter  // desynchronizes the supervisor's retry backoff
 
 	// serverReg holds the service gauges; jobs holds the merged per-job
 	// machine registries. jobMu serializes job merges against /metrics
@@ -217,9 +214,6 @@ func New(cfg Config) (*Server, error) {
 		serverReg:  telemetry.NewRegistry(),
 		jobs:       telemetry.NewRegistry(),
 	}
-	if cfg.HostChaos.Enabled() {
-		s.hostChaos = chaos.NewHost(cfg.HostChaos)
-	}
 	if cfg.WarmPool {
 		s.warm = newWarmPool(cfg.WarmPoolSize)
 	}
@@ -229,9 +223,13 @@ func New(cfg Config) (*Server, error) {
 	// The backoff jitter is seeded from the instance identity: every
 	// replica restarts with a new phase, so a fleet that dies together
 	// never retries together.
-	s.jitter = chaos.NewJitter(instanceSeed(s.instanceID))
+	s.jitter = faultmesh.NewJitter(instanceSeed(s.instanceID))
 	if cfg.JournalPath != "" {
-		jn, err := openJournal(cfg.JournalPath, cfg.JournalMaxBytes, s.hostChaos, cfg.DiskFaults)
+		var disk DiskFaultInjector // a nil plane must stay a nil interface
+		if cfg.Faults != nil {
+			disk = cfg.Faults
+		}
+		jn, err := openJournal(cfg.JournalPath, cfg.JournalMaxBytes, cfg.Faults, disk)
 		if err != nil {
 			pool.Close()
 			return nil, fmt.Errorf("serve: opening journal: %w", err)
