@@ -4,8 +4,7 @@
 // Usage:
 //
 //	splitmem-bench [-table3] [-fig6] [-fig7] [-fig8] [-fig9] [-fastpath]
-//	               [-forkpool] [-serve] [-cluster] [-parallel N] [-all]
-//	               [-json BENCH_results.json]
+//	               [-forkpool] [-all] [-json BENCH_results.json]
 //
 // -fastpath runs the two-engine ablation: nbench, gzip and syscall under
 // split memory on the interpreter and the superblock engine. The simulated
@@ -16,17 +15,11 @@
 // the physical frames each fork shares with its template copy-on-write.
 // SPLITMEM_FORKPOOL_GUARD=1 go test -run TestForkPoolSpeedupGuard pins the
 // speedup floor in CI.
-// -serve runs the splitmem-serve load harness (64 clients against an
-// 8-worker in-process server) and reports service throughput.
-// -cluster runs the sharded-cluster failover harness (64 clients against a
-// gateway over three replicas through a full rolling restart) and reports
-// throughput, migration counts, and checkpoint-migration latency; it also
-// measures the distributed-tracing overhead (same steady-state load with
-// host-span tracing off vs on). SPLITMEM_CLUSTER_TRACE_GUARD=1 turns the
-// overhead row into an assertion: traced throughput must stay within 5%
-// of untraced.
-// -parallel N fans the nbench workload out over a fleet of N machines and
-// reports the scaling figure.
+//
+// The host-timed service figures live in the benchmark ledger
+// (internal/bench/ledger: the serve-open and cluster-checkpoint workloads
+// and the telemetry.trace_overhead_ratio metric); the cluster tracing
+// overhead guard is TestTracingOverheadGuard in internal/cluster.
 //
 // -json additionally writes every table and figure the run produced as one
 // machine-readable JSON document (schema "splitmem-bench/v1", documented in
@@ -50,14 +43,11 @@ func main() {
 		fig9     = flag.Bool("fig9", false, "run the fractional-splitting sweep")
 		fastpath = flag.Bool("fastpath", false, "run the two-engine ablation (interpreter, superblock)")
 		forkpool = flag.Bool("forkpool", false, "run the warm-pool cold-boot-vs-fork bench")
-		srv      = flag.Bool("serve", false, "run the splitmem-serve throughput load test")
-		clust    = flag.Bool("cluster", false, "run the sharded-cluster rolling-restart failover bench")
-		parallel = flag.Int("parallel", 0, "fan the nbench fleet out over N machines")
 		all      = flag.Bool("all", false, "run everything")
 		jsonPath = flag.String("json", "", "also write results as JSON to this file")
 	)
 	flag.Parse()
-	if !(*table3 || *fig6 || *fig7 || *fig8 || *fig9 || *fastpath || *forkpool || *srv || *clust || *parallel > 0) {
+	if !(*table3 || *fig6 || *fig7 || *fig8 || *fig9 || *fastpath || *forkpool) {
 		*all = true
 	}
 	results := bench.NewResults()
@@ -107,43 +97,6 @@ func main() {
 		fmt.Println(t.Render())
 		results.AddTable("forkpool", t)
 		results.AddFigure("forkpool", bench.ForkPoolFigure(runs))
-	}
-	if *all || *srv {
-		fig, err := bench.ServeThroughput(64, 2, 8)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(fig.Render())
-		results.AddFigure("serve", fig)
-	}
-	if *all || *clust {
-		fig, err := bench.ClusterFailover(64, 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(fig.Render())
-		results.AddFigure("cluster", fig)
-		tfig, err := bench.ClusterTracingOverhead(64, 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster tracing overhead: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(tfig.Render())
-		results.AddFigure("cluster-tracing", tfig)
-	}
-	if n := *parallel; n > 0 || *all {
-		if n <= 0 {
-			n = 4
-		}
-		fig, err := bench.FleetScaling(n, 4)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(fig.Render())
-		results.AddFigure("fleet", fig)
 	}
 	if *jsonPath != "" {
 		out, err := os.Create(*jsonPath)

@@ -75,19 +75,27 @@ type Figure struct {
 	Notes  []string
 }
 
-// Render formats the figure as a table of values plus ASCII bars (for
-// single-series figures).
+// barWidth is the longest ASCII bar Render draws.
+const barWidth = 40
+
+// Render formats the figure as a table of values plus ASCII bars. Bars of
+// normalized values (at most 1.0) keep one scale, 1.0 = barWidth; a series
+// whose maximum exceeds 1 is scaled so that maximum is barWidth.
 func (f *Figure) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", f.Title)
 	for _, s := range f.Series {
 		fmt.Fprintf(&sb, "  %s:\n", s.Name)
+		scale := 1.0
+		for _, v := range s.Values {
+			scale = max(scale, v)
+		}
 		for i, v := range s.Values {
 			label := ""
 			if i < len(s.Labels) {
 				label = s.Labels[i]
 			}
-			bar := strings.Repeat("#", int(v*40+0.5))
+			bar := strings.Repeat("#", int(v/scale*barWidth+0.5))
 			fmt.Fprintf(&sb, "    %-14s %6.3f  %s\n", label, v, bar)
 		}
 	}

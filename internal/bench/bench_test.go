@@ -27,13 +27,25 @@ func TestFigureRender(t *testing.T) {
 			Name:   "s",
 			Labels: []string{"one", "two"},
 			Values: []float64{1.0, 0.5},
+		}, {
+			Name:   "big",
+			Labels: []string{"work", "half"},
+			Values: []float64{91771.476, 45885.738},
 		}},
 		Notes: []string{"n"},
 	}
 	out := fig.Render()
-	for _, want := range []string{"F\n", "one", "0.500", "########", "note: n"} {
+	for _, want := range []string{"F\n", "one", "0.500", "########", "91771.476", "note: n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if len(line) > 80 {
+			t.Fatalf("unbounded bar (%d chars): %.100s...", len(line), line)
+		}
+		if strings.Contains(line, "work") && strings.Count(line, "#") != barWidth {
+			t.Fatalf("series maximum not drawn at full width: %q", line)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"splitmem"
-	"splitmem/internal/fleet"
 	"splitmem/internal/workloads"
 )
 
@@ -196,44 +195,4 @@ func FastPathSimFigure(runs []FastPathRun) *Figure {
 			"the sim series is deterministic and guarded by TestFastPathNoRegression (>10% drop fails CI)",
 		},
 	}
-}
-
-// FleetScaling runs the nbench fleet at increasing fleet sizes and reports
-// aggregate simulated work and host wall time per size. Simulated totals
-// scale exactly linearly (each machine is deterministic and independent);
-// wall time is whatever the host gives us and is reported, not asserted.
-func FleetScaling(maxN, workers int) (*Figure, error) {
-	job, err := fleet.WorkloadJob("nbench")
-	if err != nil {
-		return nil, err
-	}
-	f := &Figure{
-		Title:  fmt.Sprintf("Fleet scaling: aggregate nbench, %d workers", workers),
-		YLabel: "aggregate simulated Gcycles / host wall ms",
-		Notes: []string{
-			"per-machine results are bit-identical for any worker count (fleet determinism contract)",
-		},
-	}
-	sim := Series{Name: "simulated Gcycles"}
-	wall := Series{Name: "host wall ms"}
-	for n := 1; n <= maxN; n *= 2 {
-		agg, err := fleet.Run(fleet.Config{
-			N: n, Workers: workers, Seed: 0xF1EE7,
-			Machine: splitmem.Config{Protection: splitmem.ProtSplit},
-			Job:     job,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if agg.Errors > 0 {
-			return nil, fmt.Errorf("fleet scaling n=%d: %d machines failed", n, agg.Errors)
-		}
-		label := fmt.Sprintf("n=%d", n)
-		sim.Labels = append(sim.Labels, label)
-		sim.Values = append(sim.Values, float64(agg.Totals.Cycles)/1e9)
-		wall.Labels = append(wall.Labels, label)
-		wall.Values = append(wall.Values, float64(agg.Wall.Milliseconds()))
-	}
-	f.Series = []Series{sim, wall}
-	return f, nil
 }

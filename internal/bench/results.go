@@ -1,24 +1,55 @@
 package bench
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
+	"os"
 	"runtime"
+	"strings"
 )
 
 // ResultsSchema identifies the BENCH_results.json wire format; bump the
 // version suffix on any incompatible change. The schema is documented in
 // EXPERIMENTS.md.
-const ResultsSchema = "splitmem-bench/v1"
+const ResultsSchema = "splitmem-bench/v2"
 
 // Results is the machine-readable form of a benchmark run: every table and
-// figure the run produced, in the order produced. Marshals to the
-// BENCH_results.json document consumed by CI and plotting scripts.
+// figure the run produced, in the order produced, and the host that
+// produced them. Marshals to the BENCH_results.json document consumed by
+// CI and plotting scripts.
 type Results struct {
-	Schema    string         `json:"schema"`
-	GoVersion string         `json:"go_version"`
-	Tables    []TableResult  `json:"tables"`
-	Figures   []FigureResult `json:"figures"`
+	Schema  string         `json:"schema"`
+	Host    Host           `json:"host"`
+	Tables  []TableResult  `json:"tables"`
+	Figures []FigureResult `json:"figures"`
+}
+
+// Host describes the machine a run was measured on: every host-timed
+// number in the document is only comparable against the same host.
+type Host struct {
+	CPU        string `json:"cpu"` // CPU model name, or "unknown"
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+// thisHost reads the running machine's Host block.
+func thisHost() Host {
+	h := Host{CPU: "unknown", NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version()}
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return h
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			h.CPU = strings.TrimSpace(v)
+			break
+		}
+	}
+	return h
 }
 
 // TableResult is one rendered table.
@@ -49,10 +80,10 @@ type SeriesResult struct {
 // NewResults creates an empty results document.
 func NewResults() *Results {
 	return &Results{
-		Schema:    ResultsSchema,
-		GoVersion: runtime.Version(),
-		Tables:    []TableResult{},
-		Figures:   []FigureResult{},
+		Schema:  ResultsSchema,
+		Host:    thisHost(),
+		Tables:  []TableResult{},
+		Figures: []FigureResult{},
 	}
 }
 

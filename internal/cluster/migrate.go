@@ -68,30 +68,12 @@ func (g *Gateway) noteStaleExport(r *Replica, upstreamID uint64, j *gwJob, exp *
 // detachUpstream issues the atomic detach fetch for one upstream job and
 // returns its CRC-verified checkpoint. A corrupt transfer is refetched from
 // the export ring (the detach already happened); exhausting the budget
-// yields an empty spec — scratch resume, never a corrupt image. Not
-// hedged: the detach is state-changing and must hit exactly one replica.
+// yields an empty spec — scratch resume, never a corrupt image. A
+// transport failure yields (nil, false). Not hedged: the detach is
+// state-changing and must hit exactly one replica.
 func (g *Gateway) detachUpstream(r *Replica, upstreamID uint64, j *gwJob) (*resumeSpec, bool) {
-	for attempt := 0; attempt <= checkpointFetchRetries; attempt++ {
-		exp, err := g.fetchExport(context.Background(), r, upstreamID, attempt == 0)
-		if err != nil || exp == nil {
-			return nil, false
-		}
-		if !sameJobBody(exp.Job, j.body) {
-			// The replica restarted and the ID now names another job:
-			// its checkpoint would resume the wrong program. Scratch.
-			g.noteStaleExport(r, upstreamID, j, exp)
-			return &resumeSpec{}, true
-		}
-		if len(exp.Checkpoint) == 0 {
-			return &resumeSpec{}, true
-		}
-		if verr := splitmem.VerifyImage(exp.Checkpoint); verr != nil {
-			g.noteCorruptCheckpoint(r, upstreamID, j.trace, len(exp.Checkpoint), exp.Cycles, verr)
-			continue
-		}
-		return &resumeSpec{checkpoint: exp.Checkpoint, cycles: exp.Cycles}, true
-	}
-	return &resumeSpec{}, true
+	spec := g.fetchVerified(context.Background(), r, upstreamID, j, true)
+	return spec, spec != nil
 }
 
 // noteCorruptCheckpoint accounts one CRC-gate rejection and leaves a
@@ -148,7 +130,7 @@ func (g *Gateway) fetchCheckpoint(rep *Replica, j *gwJob) *resumeSpec {
 	case 0:
 		return &resumeSpec{} // never admitted anywhere: scratch resume
 	case 1:
-		spec := g.fetchVerified(context.Background(), arms[0].rep, arms[0].upstream, j)
+		spec := g.fetchVerified(context.Background(), arms[0].rep, arms[0].upstream, j, false)
 		if spec == nil {
 			spec = &resumeSpec{}
 		}
@@ -175,7 +157,7 @@ func (g *Gateway) fetchCheckpoint(rep *Replica, j *gwJob) *resumeSpec {
 					return
 				}
 			}
-			results <- armResult{i, g.fetchVerified(ctx, a.rep, a.upstream, j)}
+			results <- armResult{i, g.fetchVerified(ctx, a.rep, a.upstream, j, false)}
 		}(i, a)
 	}
 	var fallback *resumeSpec
@@ -202,20 +184,18 @@ func (g *Gateway) fetchCheckpoint(rep *Replica, j *gwJob) *resumeSpec {
 }
 
 // fetchVerified runs the retry-until-valid fetch loop against one
-// replica's export ring. nil means the context was canceled (the other
-// hedge arm won); an empty spec means the source is gone or has no
-// checkpoint — scratch resume.
-func (g *Gateway) fetchVerified(ctx context.Context, rep *Replica, upstream uint64, j *gwJob) *resumeSpec {
+// replica's export ring; with detach set, the first fetch also detaches
+// the job. nil means no answer: the context was canceled (the other hedge
+// arm won) or the source is unreachable. An empty spec means the export
+// is not this job's or holds no valid checkpoint — scratch resume.
+func (g *Gateway) fetchVerified(ctx context.Context, rep *Replica, upstream uint64, j *gwJob, detach bool) *resumeSpec {
 	for attempt := 0; attempt <= checkpointFetchRetries; attempt++ {
 		if ctx.Err() != nil {
 			return nil
 		}
-		exp, err := g.fetchExport(ctx, rep, upstream, false)
-		if ctx.Err() != nil {
+		exp, err := g.fetchExport(ctx, rep, upstream, detach && attempt == 0)
+		if ctx.Err() != nil || err != nil || exp == nil {
 			return nil
-		}
-		if err != nil || exp == nil {
-			return &resumeSpec{} // source gone: scratch resume
 		}
 		if !sameJobBody(exp.Job, j.body) {
 			// Replica restarted; the ID was reissued to another job. Its
@@ -229,8 +209,8 @@ func (g *Gateway) fetchVerified(ctx context.Context, rep *Replica, upstream uint
 			return &resumeSpec{} // no checkpoint yet: scratch resume
 		}
 		if verr := splitmem.VerifyImage(exp.Checkpoint); verr != nil {
-			// The transfer was corrupted on the wire (or by the chaos
-			// injector standing in for the wire). The CRC gate catches it;
+			// The transfer was corrupted on the wire (or by the fault
+			// plane standing in for the wire). The CRC gate catches it;
 			// refetch. NEVER resume a corrupt image. An intact image in
 			// another format version is shipped as is: the target either
 			// reads it or restarts the job from cycle 0.

@@ -390,6 +390,9 @@ func TestDrainedVsDisconnectReasons(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+		// The handler accounts the outcome after the job leaves the pool;
+		// Close blocks until that handler has returned.
+		ts.Close()
 		// The client is gone, so read the reason off the server's own record.
 		if r := s.canceled.Load(); r != 1 {
 			t.Fatalf("canceled_total=%d want 1", r)
