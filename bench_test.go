@@ -17,6 +17,7 @@ import (
 	"splitmem/internal/attacks"
 	"splitmem/internal/bench"
 	"splitmem/internal/cpu"
+	"splitmem/internal/guest"
 	"splitmem/internal/workloads"
 )
 
@@ -396,5 +397,33 @@ loop:
 			}
 			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 		})
+	}
+}
+
+// BenchmarkColdStart is a detonation job's cold start: assemble a
+// CRT-linked Wilander victim, build the job's machine (split memory,
+// telemetry on, 16 MiB) and load the program into it.
+func BenchmarkColdStart(b *testing.B) {
+	src, _, err := attacks.OneShot(attacks.TechRet, attacks.SegStack)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src = guest.WithCRT(src)
+	cfg := splitmem.Config{Protection: splitmem.ProtSplit, Telemetry: true, PhysBytes: 16 << 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog, err := splitmem.Assemble(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := splitmem.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.LoadProgram(prog, "victim"); err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
 	}
 }

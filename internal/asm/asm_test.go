@@ -280,6 +280,7 @@ func TestErrors(t *testing.T) {
 		"align non-pow2":     ".data\n.align 3\n",
 		"duplicate equ":      ".equ A, 1\n.equ A, 2\n_start: ret\n",
 		"section no addr":    ".section foo\n ret\n",
+		"section no name":    ".section ,\n ret\n",
 	}
 	for name, src := range bad {
 		if _, err := Assemble(src); err == nil {

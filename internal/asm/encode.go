@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"splitmem/internal/isa"
@@ -64,36 +65,37 @@ var shapes = map[string]instrShape{
 	"ud":     {n: isa.OpUndef},
 }
 
-// selectOp chooses the opcode and operand layout for a statement. The
-// returned instr has registers filled in; immediates/displacements are
-// resolved in pass 2. kind tells pass 2 how to interpret expressions.
+// selected is the opcode and operand layout chosen for an instruction.
+// Registers are filled in at layout; the immediate, displacement or branch
+// target expression is resolved at emit.
 type selected struct {
+	expr    span   // immediate / displacement / branch target / int vector
+	imm     uint32 // the immediate when expr is empty (inc/dec: 1)
 	op      isa.Op
 	r1, r2  byte
-	expr    string // immediate / displacement / branch target / int vector
 	negDisp bool
 	isRel   bool // expr is a branch target (pc-relative encoding)
 }
 
-func selectInstr(s *stmt) (selected, error) {
-	name := s.name
+func (a *assembler) selectInstr(s *stmt) (selected, error) {
+	name := strings.ToLower(a.str(s.name))
+	args := a.argsOf(s)
 	// Pseudo-instructions.
 	switch name {
 	case "inc", "dec":
-		if len(s.instArgs) != 1 || s.instArgs[0].kind != opReg {
+		if len(args) != 1 || args[0].kind != opReg {
 			return selected{}, fmt.Errorf("%s takes one register", name)
 		}
 		op := isa.OpAddImm
 		if name == "dec" {
 			op = isa.OpSubImm
 		}
-		return selected{op: op, r1: s.instArgs[0].reg, expr: "1"}, nil
+		return selected{op: op, r1: args[0].reg, imm: 1}, nil
 	}
 	sh, ok := shapes[name]
 	if !ok {
 		return selected{}, fmt.Errorf("unknown mnemonic %q", name)
 	}
-	args := s.instArgs
 	switch len(args) {
 	case 0:
 		if sh.n == 0 {
@@ -125,7 +127,11 @@ func selectInstr(s *stmt) (selected, error) {
 			return selected{op: sh.mr, r1: a.reg, r2: b.reg, expr: a.expr, negDisp: a.neg}, nil
 		}
 	}
-	return selected{}, fmt.Errorf("invalid operands for %s: %s", name, strings.Join(s.args, ", "))
+	texts := make([]string, len(args))
+	for i := range args {
+		texts[i] = a.str(args[i].text)
+	}
+	return selected{}, fmt.Errorf("invalid operands for %s: %s", name, strings.Join(texts, ", "))
 }
 
 func instrSize(sel selected) uint32 {
@@ -135,6 +141,7 @@ func instrSize(sel selected) uint32 {
 // ---- pass 1: layout ----
 
 func (a *assembler) layout() error {
+	a.symbols = make(map[string]uint32, a.nsyms)
 	for i := range a.stmts {
 		s := &a.stmts[i]
 		switch s.kind {
@@ -142,12 +149,13 @@ func (a *assembler) layout() error {
 			if a.cur < 0 {
 				a.startDefaultText()
 			}
-			if _, dup := a.symbols[s.name]; dup {
-				return a.errf(s.line, "duplicate symbol %q", s.name)
+			name := a.str(s.name)
+			if _, dup := a.symbols[name]; dup {
+				return a.errf(s.line, "duplicate symbol %q", name)
 			}
 			sec := &a.sections[a.cur]
-			a.symbols[s.name] = sec.addr + sec.pc
-			s.section, s.addr = a.cur, sec.addr+sec.pc
+			a.symbols[name] = sec.addr + sec.pc
+			s.section, s.addr = uint32(a.cur), sec.addr+sec.pc
 		case stDirective:
 			if err := a.layoutDirective(s); err != nil {
 				return err
@@ -156,12 +164,13 @@ func (a *assembler) layout() error {
 			if a.cur < 0 {
 				a.startDefaultText()
 			}
-			sel, err := selectInstr(s)
+			sel, err := a.selectInstr(s)
 			if err != nil {
 				return a.errf(s.line, "%v", err)
 			}
 			sec := &a.sections[a.cur]
-			s.section, s.addr = a.cur, sec.addr+sec.pc
+			s.sel = sel
+			s.section, s.addr = uint32(a.cur), sec.addr+sec.pc
 			s.size = instrSize(sel)
 			sec.pc += s.size
 		}
@@ -183,35 +192,34 @@ func (a *assembler) findOrAddSection(name string, addr uint32, perm byte) int {
 	return len(a.sections) - 1
 }
 
-func (a *assembler) lookup1(name string) (uint32, bool) {
-	v, ok := a.symbols[name]
-	return v, ok
-}
-
 func (a *assembler) layoutDirective(s *stmt) error {
-	switch s.name {
+	name := a.str(s.name)
+	switch name {
 	case ".text", ".data":
 		addr, perm := uint32(DefaultTextAddr), byte(loader.PermR|loader.PermX)
-		if s.name == ".data" {
+		if name == ".data" {
 			addr, perm = DefaultDataAddr, loader.PermR|loader.PermW
 		}
-		if len(s.args) >= 1 && s.args[0] != "" {
-			v, err := evalExpr(s.args[0], a.lookup1)
+		if s.nargs >= 1 && a.argText(s, 0) != "" {
+			v, err := evalExpr(a.argText(s, 0), a.symbols)
 			if err != nil {
 				return a.errf(s.line, "%v", err)
 			}
 			addr = v
 		}
-		idx := a.findOrAddSection(s.name, addr, perm)
-		if len(s.args) >= 1 && s.args[0] != "" && a.sections[idx].pc == 0 {
+		idx := a.findOrAddSection(name, addr, perm)
+		if s.nargs >= 1 && a.argText(s, 0) != "" && a.sections[idx].pc == 0 {
 			a.sections[idx].addr = addr
 		}
 		a.cur = idx
 	case ".section":
-		if len(s.args) < 1 {
+		if s.nargs < 1 {
 			return a.errf(s.line, ".section requires a name")
 		}
-		fields := strings.Fields(s.args[0])
+		fields := strings.Fields(a.argText(s, 0))
+		if len(fields) == 0 {
+			return a.errf(s.line, ".section requires a name")
+		}
 		name := fields[0]
 		exists := false
 		for i := range a.sections {
@@ -227,7 +235,7 @@ func (a *assembler) layoutDirective(s *stmt) error {
 		if len(fields) < 3 {
 			return a.errf(s.line, ".section %s requires addr and perms on first use", name)
 		}
-		addr, err := evalExpr(fields[1], a.lookup1)
+		addr, err := evalExpr(fields[1], a.symbols)
 		if err != nil {
 			return a.errf(s.line, "%v", err)
 		}
@@ -237,77 +245,78 @@ func (a *assembler) layoutDirective(s *stmt) error {
 		}
 		a.cur = a.findOrAddSection(name, addr, perm)
 	case ".entry":
-		if len(s.args) != 1 {
+		if s.nargs != 1 {
 			return a.errf(s.line, ".entry requires one symbol")
 		}
-		a.entryStr = s.args[0]
+		a.entryStr = a.argText(s, 0)
 	case ".equ":
-		if len(s.args) != 2 {
+		if s.nargs != 2 {
 			return a.errf(s.line, ".equ requires NAME, expr")
 		}
-		name := strings.TrimSpace(s.args[0])
+		name := a.argText(s, 0)
 		if _, dup := a.symbols[name]; dup {
 			return a.errf(s.line, "duplicate symbol %q", name)
 		}
-		v, err := evalExpr(s.args[1], a.lookup1)
+		v, err := evalExpr(a.argText(s, 1), a.symbols)
 		if err != nil {
 			return a.errf(s.line, "%v", err)
 		}
 		a.symbols[name] = v
 	case ".word", ".byte", ".ascii", ".asciz", ".space", ".align":
 		if a.cur < 0 {
-			return a.errf(s.line, "%s outside any section", s.name)
+			return a.errf(s.line, "%s outside any section", name)
 		}
 		sec := &a.sections[a.cur]
-		s.section, s.addr = a.cur, sec.addr+sec.pc
-		size, err := a.dataSize(s, sec.pc)
+		s.section, s.addr = uint32(a.cur), sec.addr+sec.pc
+		size, err := a.dataSize(s, name, sec.pc)
 		if err != nil {
 			return err
 		}
 		s.size = size
 		sec.pc += size
 	default:
-		return a.errf(s.line, "unknown directive %s", s.name)
+		return a.errf(s.line, "unknown directive %s", name)
 	}
 	return nil
 }
 
-func (a *assembler) dataSize(s *stmt, pc uint32) (uint32, error) {
-	switch s.name {
+func (a *assembler) dataSize(s *stmt, name string, pc uint32) (uint32, error) {
+	switch name {
 	case ".word":
-		return 4 * uint32(len(s.args)), nil
+		return 4 * s.nargs, nil
 	case ".byte":
-		return uint32(len(s.args)), nil
+		return s.nargs, nil
 	case ".ascii", ".asciz":
-		str, _, err := parseString(s.raw)
+		str, err := appendString(a.scratch[:0], a.str(s.raw))
 		if err != nil {
 			return 0, a.errf(s.line, "%v", err)
 		}
+		a.scratch = str
 		n := uint32(len(str))
-		if s.name == ".asciz" {
+		if name == ".asciz" {
 			n++
 		}
 		return n, nil
 	case ".space":
-		if len(s.args) < 1 {
+		if s.nargs < 1 {
 			return 0, a.errf(s.line, ".space requires a size")
 		}
-		n, err := evalExpr(s.args[0], a.lookup1)
+		n, err := evalExpr(a.argText(s, 0), a.symbols)
 		if err != nil {
 			return 0, a.errf(s.line, ".space size: %v (must be resolvable at layout time)", err)
 		}
 		return n, nil
 	case ".align":
-		if len(s.args) != 1 {
+		if s.nargs != 1 {
 			return 0, a.errf(s.line, ".align requires a boundary")
 		}
-		n, err := evalExpr(s.args[0], a.lookup1)
+		n, err := evalExpr(a.argText(s, 0), a.symbols)
 		if err != nil || n == 0 || n&(n-1) != 0 {
 			return 0, a.errf(s.line, ".align requires a power-of-two boundary")
 		}
 		return (n - pc%n) % n, nil
 	}
-	return 0, a.errf(s.line, "unhandled data directive %s", s.name)
+	return 0, a.errf(s.line, "unhandled data directive %s", name)
 }
 
 func parsePerm(s string) (byte, error) {
@@ -330,12 +339,12 @@ func parsePerm(s string) (byte, error) {
 
 // ---- pass 2: emit ----
 
-func (a *assembler) lookup(name string) (uint32, bool) {
-	v, ok := a.symbols[name]
-	return v, ok
-}
-
+// emit encodes every statement into buffers sized by layout, so the
+// appends never grow them.
 func (a *assembler) emit() (*loader.Program, error) {
+	for i := range a.sections {
+		a.sections[i].buf = make([]byte, 0, a.sections[i].pc)
+	}
 	for i := range a.stmts {
 		s := &a.stmts[i]
 		switch s.kind {
@@ -366,7 +375,7 @@ func (a *assembler) emit() (*loader.Program, error) {
 	// Entry point resolution.
 	switch {
 	case a.entryStr != "":
-		v, err := evalExpr(a.entryStr, a.lookup)
+		v, err := evalExpr(a.entryStr, a.symbols)
 		if err != nil {
 			return nil, &Error{Msg: fmt.Sprintf(".entry: %v", err)}
 		}
@@ -390,13 +399,10 @@ func (a *assembler) emit() (*loader.Program, error) {
 }
 
 func (a *assembler) emitInstr(s *stmt) error {
-	sel, err := selectInstr(s)
-	if err != nil {
-		return a.errf(s.line, "%v", err)
-	}
-	in := isa.Instr{Op: sel.op, R1: sel.r1, R2: sel.r2}
-	if sel.expr != "" || sel.isRel {
-		v, err := evalExpr(sel.expr, a.lookup)
+	sel := &s.sel
+	in := isa.Instr{Op: sel.op, R1: sel.r1, R2: sel.r2, Imm: sel.imm}
+	if sel.expr.len() != 0 || sel.isRel {
+		v, err := evalExpr(a.str(sel.expr), a.symbols)
 		if err != nil {
 			return a.errf(s.line, "%v", err)
 		}
@@ -418,20 +424,21 @@ func (a *assembler) emitInstr(s *stmt) error {
 	before := len(sec.buf)
 	sec.buf = isa.Encode(sec.buf, in)
 	if uint32(len(sec.buf)-before) != s.size {
-		return a.errf(s.line, "internal: size mismatch for %s (%d != %d)", s.name, len(sec.buf)-before, s.size)
+		return a.errf(s.line, "internal: size mismatch for %s (%d != %d)", strings.ToLower(a.str(s.name)), len(sec.buf)-before, s.size)
 	}
 	return nil
 }
 
 func (a *assembler) emitData(s *stmt) error {
-	if s.size == 0 && s.name != ".word" && s.name != ".byte" {
+	name := a.str(s.name)
+	if s.size == 0 && name != ".word" && name != ".byte" {
 		return nil
 	}
-	switch s.name {
+	switch name {
 	case ".word":
 		sec := &a.sections[s.section]
-		for _, arg := range s.args {
-			v, err := evalExpr(arg, a.lookup)
+		for _, arg := range a.argsOf(s) {
+			v, err := evalExpr(a.str(arg.text), a.symbols)
 			if err != nil {
 				return a.errf(s.line, "%v", err)
 			}
@@ -439,8 +446,8 @@ func (a *assembler) emitData(s *stmt) error {
 		}
 	case ".byte":
 		sec := &a.sections[s.section]
-		for _, arg := range s.args {
-			v, err := evalExpr(arg, a.lookup)
+		for _, arg := range a.argsOf(s) {
+			v, err := evalExpr(a.str(arg.text), a.symbols)
 			if err != nil {
 				return a.errf(s.line, "%v", err)
 			}
@@ -450,33 +457,43 @@ func (a *assembler) emitData(s *stmt) error {
 			sec.buf = append(sec.buf, byte(v))
 		}
 	case ".ascii", ".asciz":
-		str, _, err := parseString(s.raw)
+		sec := &a.sections[s.section]
+		buf, err := appendString(sec.buf, a.str(s.raw))
 		if err != nil {
 			return a.errf(s.line, "%v", err)
 		}
-		sec := &a.sections[s.section]
-		sec.buf = append(sec.buf, str...)
-		if s.name == ".asciz" {
+		sec.buf = buf
+		if name == ".asciz" {
 			sec.buf = append(sec.buf, 0)
 		}
 	case ".space":
 		fill := byte(0)
-		if len(s.args) >= 2 {
-			v, err := evalExpr(s.args[1], a.lookup)
+		if s.nargs >= 2 {
+			v, err := evalExpr(a.argText(s, 1), a.symbols)
 			if err != nil {
 				return a.errf(s.line, "%v", err)
 			}
 			fill = byte(v)
 		}
 		sec := &a.sections[s.section]
-		for i := uint32(0); i < s.size; i++ {
-			sec.buf = append(sec.buf, fill)
-		}
+		sec.buf = appendFill(sec.buf, fill, s.size)
 	case ".align":
 		sec := &a.sections[s.section]
-		for i := uint32(0); i < s.size; i++ {
-			sec.buf = append(sec.buf, 0)
-		}
+		sec.buf = appendFill(sec.buf, 0, s.size)
 	}
 	return nil
+}
+
+// appendFill appends n copies of c to b.
+func appendFill(b []byte, c byte, n uint32) []byte {
+	b = slices.Grow(b, int(n))
+	fill := b[len(b) : len(b)+int(n)]
+	if c == 0 {
+		clear(fill)
+	} else {
+		for i := range fill {
+			fill[i] = c
+		}
+	}
+	return b[:len(b)+int(n)]
 }

@@ -13,11 +13,11 @@ import (
 type exprParser struct {
 	s    string
 	pos  int
-	syms func(name string) (uint32, bool)
+	syms map[string]uint32
 }
 
-func evalExpr(s string, syms func(string) (uint32, bool)) (uint32, error) {
-	p := &exprParser{s: s, syms: syms}
+func evalExpr(s string, syms map[string]uint32) (uint32, error) {
+	p := exprParser{s: s, syms: syms}
 	v, err := p.parseExpr()
 	if err != nil {
 		return 0, err
@@ -167,7 +167,7 @@ func (p *exprParser) parseSymbol() (uint32, error) {
 		p.pos++
 	}
 	name := p.s[start:p.pos]
-	v, ok := p.syms(name)
+	v, ok := p.syms[name]
 	if !ok {
 		return 0, fmt.Errorf("undefined symbol %q", name)
 	}
@@ -202,27 +202,27 @@ func unescape(c byte) (byte, error) {
 	return 0, fmt.Errorf("unknown escape \\%c", c)
 }
 
-// parseString parses a double-quoted string literal with escapes, returning
-// the bytes and the remainder of the input after the closing quote.
-func parseString(s string) ([]byte, string, error) {
+// appendString parses the double-quoted string literal with escapes that
+// starts s and appends its bytes to out; anything after the closing quote
+// is ignored.
+func appendString(out []byte, s string) ([]byte, error) {
 	s = strings.TrimLeft(s, " \t")
 	if len(s) == 0 || s[0] != '"' {
-		return nil, "", fmt.Errorf("expected string literal")
+		return nil, fmt.Errorf("expected string literal")
 	}
-	var out []byte
 	i := 1
 	for i < len(s) {
 		c := s[i]
 		switch c {
 		case '"':
-			return out, s[i+1:], nil
+			return out, nil
 		case '\\':
 			if i+1 >= len(s) {
-				return nil, "", fmt.Errorf("unterminated escape")
+				return nil, fmt.Errorf("unterminated escape")
 			}
 			e, err := unescape(s[i+1])
 			if err != nil {
-				return nil, "", err
+				return nil, err
 			}
 			out = append(out, e)
 			i += 2
@@ -231,5 +231,5 @@ func parseString(s string) ([]byte, string, error) {
 			i++
 		}
 	}
-	return nil, "", fmt.Errorf("unterminated string literal")
+	return nil, fmt.Errorf("unterminated string literal")
 }

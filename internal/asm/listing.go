@@ -12,48 +12,32 @@ import (
 // bytes it produced. Toolchain users (and the sasm -l flag) use it to debug
 // guest programs and to compute the exact payload offsets exploits need.
 func AssembleListing(src string) (*loader.Program, string, error) {
-	a := &assembler{cur: -1, symbols: map[string]uint32{}}
-	if err := a.parse(src); err != nil {
-		return nil, "", err
-	}
-	if err := a.layout(); err != nil {
-		return nil, "", err
-	}
-	prog, err := a.emit()
+	a, prog, err := runPasses(src)
 	if err != nil {
 		return nil, "", err
 	}
 
 	// Collect, per source line, the (address, length, section) of each
 	// emitted statement.
-	type span struct {
+	type emitted struct {
 		addr    uint32
 		size    uint32
-		section int
+		section uint32
 	}
-	byLine := map[int][]span{}
+	byLine := map[int][]emitted{}
 	for i := range a.stmts {
 		s := &a.stmts[i]
 		if s.kind == stLabel || s.size == 0 && s.kind != stInstr {
 			continue
 		}
 		if s.kind == stDirective {
-			switch s.name {
+			switch a.str(s.name) {
 			case ".word", ".byte", ".ascii", ".asciz", ".space", ".align":
 			default:
 				continue
 			}
 		}
-		byLine[s.line] = append(byLine[s.line], span{addr: s.addr, size: s.size, section: s.section})
-	}
-	// Section content for byte extraction.
-	secBytes := map[int][]byte{}
-	for i := range a.sections {
-		secBytes[i] = a.sections[i].buf
-	}
-	secBase := map[int]uint32{}
-	for i := range a.sections {
-		secBase[i] = a.sections[i].addr
+		byLine[int(s.line)] = append(byLine[int(s.line)], emitted{addr: s.addr, size: s.size, section: s.section})
 	}
 
 	var sb strings.Builder
@@ -66,8 +50,9 @@ func AssembleListing(src string) (*loader.Program, string, error) {
 		}
 		first := true
 		for _, sp := range spans {
-			buf := secBytes[sp.section]
-			off := sp.addr - secBase[sp.section]
+			sec := &a.sections[sp.section]
+			buf := sec.buf
+			off := sp.addr - sec.addr
 			end := off + sp.size
 			if int(end) > len(buf) {
 				end = uint32(len(buf))

@@ -73,6 +73,15 @@ type Target struct {
 // NewTarget boots a machine with cfg and spawns the victim program (CRT is
 // appended automatically).
 func NewTarget(cfg splitmem.Config, src, name string) (*Target, error) {
+	prog, err := splitmem.Assemble(guest.WithCRT(src))
+	if err != nil {
+		return nil, fmt.Errorf("assemble %s: %w", name, err)
+	}
+	return newTarget(cfg, prog, name)
+}
+
+// newTarget boots a machine with cfg and spawns the assembled victim.
+func newTarget(cfg splitmem.Config, prog *splitmem.Program, name string) (*Target, error) {
 	if cfg.PhysBytes == 0 {
 		// Victim processes are small; a 16 MiB machine keeps the big attack
 		// grids cheap even with every page twinned.
@@ -82,9 +91,9 @@ func NewTarget(cfg splitmem.Config, src, name string) (*Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := m.LoadAsm(guest.WithCRT(src), name)
+	p, err := m.LoadProgram(prog, name)
 	if err != nil {
-		return nil, fmt.Errorf("assemble %s: %w", name, err)
+		return nil, fmt.Errorf("load %s: %w", name, err)
 	}
 	return &Target{M: m, P: p, budget: 200_000_000}, nil
 }

@@ -22,20 +22,21 @@ import (
 // machine, EvInjectionDetected under split memory.
 func OneShot(tech Technique, seg Segment) (source string, stdin []byte, err error) {
 	src := victimSource(tech, seg)
-	t, err := NewTarget(splitmem.Config{Protection: splitmem.ProtNone}, src,
+	prog, err := splitmem.Assemble(guest.WithCRT(src))
+	if err != nil {
+		return "", nil, fmt.Errorf("oneshot %v/%v: %w", tech, seg, err)
+	}
+	t, err := newTarget(splitmem.Config{Protection: splitmem.ProtNone}, prog,
 		fmt.Sprintf("oneshot-probe-%d-%d", tech, seg))
 	if err != nil {
 		return "", nil, err
 	}
+	defer t.M.Close()
 	out, ok := t.WaitOutput("BUF ")
 	if !ok {
 		return "", nil, fmt.Errorf("oneshot %v/%v: no address leak in %q", tech, seg, out)
 	}
 	codebuf, err := parseLeak(out, "BUF ")
-	if err != nil {
-		return "", nil, fmt.Errorf("oneshot %v/%v: %w", tech, seg, err)
-	}
-	prog, err := splitmem.Assemble(guest.WithCRT(src))
 	if err != nil {
 		return "", nil, fmt.Errorf("oneshot %v/%v: %w", tech, seg, err)
 	}

@@ -215,8 +215,9 @@ type Machine struct {
 	decEpoch      uint64
 	sliceEnd      uint64 // scheduler's timeslice bound, for in-block side-exits
 	sbPF          *PageFault
-	sbDrawDone    bool // the last Step consumed the kernel's preempt draw
-	sbDrawPreempt bool // ... and the draw said to preempt
+	pf            PageFault // the record every fault returns (see fault)
+	sbDrawDone    bool      // the last Step consumed the kernel's preempt draw
+	sbDrawPreempt bool      // ... and the draw said to preempt
 }
 
 // Telemetry is the set of metric instruments the machine feeds when
@@ -410,7 +411,7 @@ func (m *Machine) Translate(addr uint32, acc Access) (uint32, *PageFault) {
 	// NOT consulted on a hit. This property is what the split-memory
 	// technique exploits.
 	if !e.User || acc == AccWrite && !e.Writable || acc == AccFetch && e.NoExec && m.NXEnabled {
-		return 0, &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
+		return 0, m.fault(addr, m.faultCode(acc, true))
 	}
 	return e.Frame<<mem.PageShift | addr&mem.PageMask, nil
 }
@@ -423,17 +424,17 @@ func (m *Machine) translateMiss(addr uint32, acc Access, buf *tlb.TLB) (uint32, 
 	m.Cycles += m.Cost.TLBWalk
 	pte := m.pt.Get(vpn)
 	if !pte.Present() {
-		return 0, &PageFault{Addr: addr, Code: m.faultCode(acc, false)}
+		return 0, m.fault(addr, m.faultCode(acc, false))
 	}
 	if !pte.User() {
 		// User access to a supervisor ("restricted") page.
-		return 0, &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
+		return 0, m.fault(addr, m.faultCode(acc, true))
 	}
 	if acc == AccWrite && !pte.Writable() {
-		return 0, &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
+		return 0, m.fault(addr, m.faultCode(acc, true))
 	}
 	if acc == AccFetch && pte.NoExec() && m.NXEnabled {
-		return 0, &PageFault{Addr: addr, Code: m.faultCode(acc, true)}
+		return 0, m.fault(addr, m.faultCode(acc, true))
 	}
 	upd := pte.With(paging.Accessed)
 	if acc == AccWrite {
@@ -449,6 +450,14 @@ func (m *Machine) translateMiss(addr uint32, acc Access, buf *tlb.TLB) (uint32, 
 		NoExec:   pte.NoExec(),
 	})
 	return pte.Frame()<<mem.PageShift | addr&mem.PageMask, nil
+}
+
+// fault fills the machine's page-fault record and returns it, so a
+// translation that faults allocates nothing. The record is valid until the
+// next fault; raisePF copies it before the handler runs.
+func (m *Machine) fault(addr, code uint32) *PageFault {
+	m.pf = PageFault{Addr: addr, Code: code}
+	return &m.pf
 }
 
 func (m *Machine) faultCode(acc Access, present bool) uint32 {

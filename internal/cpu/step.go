@@ -125,7 +125,8 @@ func (m *Machine) raiseDB() Action {
 	return act
 }
 
-func (m *Machine) raisePF(pf *PageFault) StepResult {
+func (m *Machine) raisePF(fault *PageFault) StepResult {
+	pf := *fault // the handler may fault again, reusing the machine's record
 	if m.deliverPF(pf) == ActStop {
 		return StepStopped
 	}
@@ -142,7 +143,7 @@ func (m *Machine) raisePF(pf *PageFault) StepResult {
 
 // deliverPF dispatches one page fault to the handler, charging the trap
 // cost and recording the handler latency when telemetry is enabled.
-func (m *Machine) deliverPF(pf *PageFault) Action {
+func (m *Machine) deliverPF(pf PageFault) Action {
 	m.CR2 = pf.Addr
 	m.Cycles += m.Cost.Trap
 	m.Stats.PageFaults++

@@ -13,7 +13,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"splitmem/internal/cpu"
 	"splitmem/internal/mem"
@@ -219,6 +219,7 @@ type Kernel struct {
 	m         *cpu.Machine
 	prot      Protector
 	procs     map[int]*Process
+	byPID     []*Process // every process in procs, in ascending PID order
 	runq      []int
 	cur       *Process
 	nextPID   int
@@ -374,13 +375,13 @@ func (k *Kernel) MachineCheck(origin string, err error) {
 
 // Processes returns every process (alive or dead) in ascending PID order —
 // the deterministic walk the invariant auditor needs.
-func (k *Kernel) Processes() []*Process {
-	out := make([]*Process, 0, len(k.procs))
-	for _, p := range k.procs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
+func (k *Kernel) Processes() []*Process { return slices.Clone(k.byPID) }
+
+// addProcess enters p, whose PID is above every PID in the table, into the
+// process table.
+func (k *Kernel) addProcess(p *Process) {
+	k.procs[p.PID] = p
+	k.byPID = append(k.byPID, p)
 }
 
 // EventsOf filters events by kind.

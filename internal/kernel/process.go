@@ -245,13 +245,16 @@ func (k *Kernel) Spawn(prog *loader.Program, opts ProcOptions) (*Process, error)
 	p.Ctx.R[isa.ESP] = top - 16
 	p.initialSP = top - 16
 
-	k.procs[p.PID] = p
+	k.addProcess(p)
 	k.runq = append(k.runq, p.PID)
 	k.Emit(Event{Kind: EvProcessStart, PID: p.PID, Proc: p.Name, Text: name})
 	return p, nil
 }
 
 // mapSection eagerly allocates, fills, and maps every page of a section.
+// Each page takes the section bytes that land on it in one copy; a page
+// they leave all zero stays unmaterialized, since Alloc hands out zeroed
+// frames.
 func (k *Kernel) mapSection(p *Process, s *loader.Section) error {
 	first, last := s.PageSpan()
 	for vpn := first; vpn < last; vpn++ {
@@ -262,19 +265,14 @@ func (k *Kernel) mapSection(p *Process, s *loader.Section) error {
 		if err != nil {
 			return err
 		}
-		// Copy the section bytes that land on this page.
 		pageStart := vpn << mem.PageShift
-		fr := k.m.Phys.Frame(frame)
-		for off := uint32(0); off < mem.PageSize; off++ {
-			va := pageStart + off
-			if va < s.Addr || va >= s.End() {
-				continue
-			}
-			idx := va - s.Addr
-			if int(idx) < len(s.Data) {
-				fr[off] = s.Data[idx]
-			}
+		lo := max(pageStart, s.Addr)
+		var data []byte
+		if idx := int(lo - s.Addr); idx < len(s.Data) {
+			n := min(len(s.Data)-idx, int(pageStart+mem.PageSize-lo))
+			data = s.Data[idx : idx+n]
 		}
+		k.m.Phys.WriteFrame(frame, lo-pageStart, data)
 		k.prot.MapPage(k, p, vpn, frame, s.Perm)
 	}
 	return nil
@@ -382,7 +380,7 @@ func (k *Kernel) fork(parent *Process) (*Process, error) {
 	}
 
 	parent.children[child.PID] = true
-	k.procs[child.PID] = child
+	k.addProcess(child)
 	k.runq = append(k.runq, child.PID)
 	k.Emit(Event{Kind: EvProcessStart, PID: child.PID, Proc: child.Name, Text: "fork"})
 	return child, nil

@@ -182,11 +182,13 @@ func (k *Kernel) enqueue(p *Process) {
 	k.runq = append(k.runq, p.PID)
 }
 
-// nextRunnable pops the first actually-runnable process off the queue.
+// nextRunnable pops the first actually-runnable process off the queue. The
+// pop shifts the short queue down in place, keeping its capacity for the
+// next enqueue.
 func (k *Kernel) nextRunnable() *Process {
 	for len(k.runq) > 0 {
 		pid := k.runq[0]
-		k.runq = k.runq[1:]
+		k.runq = k.runq[:copy(k.runq, k.runq[1:])]
 		p, ok := k.procs[pid]
 		if ok && p.state == stateRunnable {
 			return p
@@ -219,7 +221,7 @@ func (k *Kernel) switchTo(p *Process) {
 // order: the wake order decides the run-queue order, and map iteration
 // would make it (and everything downstream) nondeterministic.
 func (k *Kernel) wakeStdinWaiters() {
-	for _, p := range k.Processes() {
+	for _, p := range k.byPID {
 		if p.state == stateWaitStdin && (len(p.stdin.data) > 0 || p.stdin.eof) {
 			p.state = stateRunnable
 			k.enqueue(p)

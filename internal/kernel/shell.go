@@ -30,7 +30,7 @@ func (p *Process) SebekArmed() bool { return p.sebek }
 // Shells are serviced in PID order: stdout and event ordering across
 // concurrent shells must not depend on map iteration.
 func (k *Kernel) serviceShells() {
-	for _, p := range k.Processes() {
+	for _, p := range k.byPID {
 		if p.state != stateShell {
 			continue
 		}

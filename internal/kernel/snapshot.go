@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"splitmem/internal/cpu"
@@ -153,6 +155,7 @@ func (k *Kernel) DecodeState(r *snapshot.Reader) error {
 	codec, _ := k.prot.(ProtStateCodec)
 	pn := r.U32()
 	k.procs = map[int]*Process{}
+	k.byPID = nil
 	for i := uint32(0); i < pn && r.Err() == nil; i++ {
 		p, err := decodeProcess(r, stdins, codec)
 		if err != nil {
@@ -161,8 +164,15 @@ func (k *Kernel) DecodeState(r *snapshot.Reader) error {
 		if _, dup := k.procs[p.PID]; dup {
 			return snapshot.Corruptf("kernel: duplicate pid %d", p.PID)
 		}
+		// Spawn and fork number processes from nextPID up, and the PID
+		// order of byPID relies on that.
+		if p.PID < 1 || p.PID >= k.nextPID {
+			return snapshot.Corruptf("kernel: pid %d outside [1, %d)", p.PID, k.nextPID)
+		}
 		k.procs[p.PID] = p
+		k.byPID = append(k.byPID, p)
 	}
+	slices.SortFunc(k.byPID, func(a, b *Process) int { return cmp.Compare(a.PID, b.PID) })
 
 	k.runq = decodeInts(r)
 	curPID := r.Int()

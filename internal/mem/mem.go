@@ -62,9 +62,14 @@ func (e *FrameError) Error() string {
 // detach concurrently; the frame contents need no synchronization because they
 // are immutable.
 type Base struct {
-	frames [][]byte
+	frames []*page
 	refs   atomic.Int32
 }
+
+// page is one frame's contents. The frame arrays hold pointers to pages, a
+// word per frame, rather than slices, three words per frame: a 16 MiB
+// machine's array is 32 KiB instead of 96 KiB.
+type page = [PageSize]byte
 
 // NumFrames returns the number of frames the Base covers.
 func (b *Base) NumFrames() uint32 { return uint32(len(b.frames)) }
@@ -75,10 +80,10 @@ func (b *Base) Refs() int { return int(b.refs.Load()) }
 // View returns the contents of frame f (nil when the frame is all-zero or out
 // of range). The slice is shared and must not be written.
 func (b *Base) View(f uint32) []byte {
-	if f >= uint32(len(b.frames)) {
+	if f >= uint32(len(b.frames)) || b.frames[f] == nil {
 		return nil
 	}
-	return b.frames[f]
+	return b.frames[f][:]
 }
 
 // Physical is one machine's physical memory.
@@ -92,7 +97,7 @@ type Physical struct {
 	// materialization: a pointer array this size dominates both machine
 	// construction and every GC cycle, and a freshly booted or freshly
 	// attached machine has nothing private to store in it.
-	frames [][]byte
+	frames []*page
 	// priv marks frames that have left the shared Base (copied out, released,
 	// or freshly allocated); meaningful only while base != nil. The inverted
 	// polarity ("private" rather than "shared") means a freshly attached or
@@ -107,7 +112,7 @@ type Physical struct {
 	gens     []uint64 // per-frame write generation (see Gen)
 	allocCnt uint64   // lifetime allocations, for stats
 	faults   uint64   // contained machine-check faults
-	poison   []byte   // scratch frame returned for out-of-range Frame calls
+	poison   []byte   // scratch frame returned for out-of-range Frame calls, made on first use
 
 	// metaShared marks free/refs/gens as aliases of an immutable Meta
 	// (BootPhysical): they are copy-on-write like the frames themselves, and
@@ -137,7 +142,6 @@ func NewPhysical(size int) (*Physical, error) {
 		refs:    make([]uint16, n),
 		gens:    make([]uint64, n),
 		free:    make([]uint32, 0, n-1),
-		poison:  make([]byte, PageSize),
 	}
 	// Push high frames first so allocation order is low-to-high; frame 0 is
 	// reserved.
@@ -167,7 +171,6 @@ func BootPhysical(b *Base, mt *Meta) (*Physical, error) {
 		gens:       mt.gens,
 		allocCnt:   mt.allocCnt,
 		faults:     mt.faults,
-		poison:     make([]byte, PageSize),
 		metaShared: true,
 		nshared:    int(n),
 	}
@@ -235,13 +238,17 @@ func (p *Physical) View(f uint32) []byte {
 // write generations. nil means all-zero. The caller must have bounds-checked
 // f. The slice must not be written.
 func (p *Physical) view(f uint32) []byte {
-	if p.base != nil && !p.priv[f] {
-		return p.base.frames[f]
+	var pg *page
+	switch {
+	case p.base != nil && !p.priv[f]:
+		pg = p.base.frames[f]
+	case p.frames != nil:
+		pg = p.frames[f]
 	}
-	if p.frames == nil {
+	if pg == nil {
 		return nil
 	}
-	return p.frames[f]
+	return pg[:]
 }
 
 // writable returns a private, writable page for frame f, materializing it in
@@ -250,23 +257,25 @@ func (p *Physical) view(f uint32) []byte {
 // generation bump.
 func (p *Physical) writable(f uint32) []byte {
 	if p.frames == nil {
-		p.frames = make([][]byte, p.nframes)
+		p.frames = make([]*page, p.nframes)
 	}
 	if p.base != nil && !p.priv[f] {
-		pg := make([]byte, PageSize)
-		copy(pg, p.base.frames[f]) // nil source leaves the page zero
+		pg := new(page)
+		if src := p.base.frames[f]; src != nil { // nil leaves the page zero
+			*pg = *src
+		}
 		p.frames[f] = pg
 		p.priv[f] = true
 		p.nshared--
 		p.nprivate++
 		p.cowCopies++
-		return pg
+		return pg[:]
 	}
 	if p.frames[f] == nil {
-		p.frames[f] = make([]byte, PageSize)
+		p.frames[f] = new(page)
 		p.nprivate++
 	}
-	return p.frames[f]
+	return p.frames[f][:]
 }
 
 // release drops frame f's contents (back to all-zero) without touching the
@@ -293,7 +302,7 @@ func (p *Physical) Seal() *Base {
 	if p.base != nil && p.nshared == int(p.nframes) {
 		return p.base
 	}
-	nb := &Base{frames: make([][]byte, p.nframes)}
+	nb := &Base{frames: make([]*page, p.nframes)}
 	for f := uint32(0); f < p.nframes; f++ {
 		switch {
 		case p.base != nil && !p.priv[f]:
@@ -424,6 +433,9 @@ func (p *Physical) Free(f uint32) error {
 func (p *Physical) Frame(f uint32) []byte {
 	if f >= p.nframes {
 		p.fault("frame", f)
+		if p.poison == nil {
+			p.poison = make([]byte, PageSize)
+		}
 		clear(p.poison)
 		return p.poison
 	}
@@ -435,6 +447,23 @@ func (p *Physical) Frame(f uint32) []byte {
 	p.gens[f]++
 	pg := p.writable(f)
 	return pg[:PageSize:PageSize]
+}
+
+// WriteFrame stores b into frame f at offset off with one write
+// generation bump, the cadence of a store through Frame. A store of zeros
+// into an all-zero frame changes nothing, so it leaves the frame
+// unmaterialized. b must fit in the frame from off.
+func (p *Physical) WriteFrame(f, off uint32, b []byte) {
+	if f >= p.nframes {
+		p.fault("frame", f)
+		return
+	}
+	p.ownMeta()
+	p.gens[f]++
+	if p.view(f) == nil && !frameNonzero(b) {
+		return
+	}
+	copy(p.writable(f)[off:], b)
 }
 
 // Byte returns the byte at physical address pa (0 with a contained fault
@@ -641,13 +670,15 @@ func DecodeBase(r *snapshot.Reader) (*Base, error) {
 	if nonzero > n {
 		return nil, snapshot.Corruptf("mem: %d nonzero frames of %d", nonzero, n)
 	}
-	frames := make([][]byte, n)
+	frames := make([]*page, n)
 	for i := uint32(0); i < nonzero; i++ {
 		f := r.U32()
 		if f >= n {
 			return nil, snapshot.Corruptf("mem: frame %d out of range", f)
 		}
-		frames[f] = r.Raw(PageSize)
+		if b := r.Raw(PageSize); b != nil {
+			frames[f] = (*page)(b)
+		}
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

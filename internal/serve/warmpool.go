@@ -1,10 +1,12 @@
 package serve
 
-// The warm pool: instead of assembling, loading, and booting a fresh machine
-// per job, the first job for each distinct (program, config) pair builds a
-// template — a machine parked right after LoadProgram, frozen into a
+// The warm pool: instead of building a fresh machine and loading the program
+// into it per job, the first job for each distinct (program, config) pair
+// builds a template — a machine parked right after LoadProgram, frozen into a
 // splitmem.Image — and every later job forks from it, sharing all physical
-// frames copy-on-write. Stdin is applied to the fork exactly where the cold
+// frames copy-on-write. It does not save the assembly: admission assembles
+// every job's source, warm hit or not, to reject bad source before the job
+// is queued. Stdin is applied to the fork exactly where the cold
 // path applies it, so a forked job is bit-identical to a cold-booted one (the
 // Image/Fork determinism contract); the warm-vs-cold serve test pins it down.
 //

@@ -35,23 +35,26 @@ type SpanID struct {
 // Valid reports whether the id refers to a live Begin.
 func (id SpanID) Valid() bool { return id.seq != 0 }
 
-// SpanBuffer is a bounded ring of spans. Once full, new spans overwrite
-// the oldest — including unfinished ones, whose End then quietly no-ops.
-// Not goroutine-safe (the simulator is single-threaded).
+// SpanBuffer is a bounded ring of spans. It grows on demand up to its
+// capacity, so a machine that records few spans pays for few; once full,
+// new spans overwrite the oldest — including unfinished ones, whose End
+// then quietly no-ops. Not goroutine-safe (the simulator is
+// single-threaded).
 type SpanBuffer struct {
-	buf     []Span
-	pos     int
-	full    bool
+	buf     []Span // recorded spans; grows to max, then wraps
+	max     int
+	pos     int // once full, the slot the next span overwrites (the oldest)
 	nextSeq uint64
 	dropped uint64 // spans overwritten before or after completion
 }
 
-// NewSpanBuffer creates a ring holding up to n spans (minimum 16).
+// NewSpanBuffer creates a ring holding up to n spans (minimum 16). No span
+// storage is allocated until the first span is recorded.
 func NewSpanBuffer(n int) *SpanBuffer {
 	if n < 16 {
 		n = 16
 	}
-	return &SpanBuffer{buf: make([]Span, n)}
+	return &SpanBuffer{max: n}
 }
 
 // Cap returns the ring capacity.
@@ -59,7 +62,7 @@ func (b *SpanBuffer) Cap() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.buf)
+	return b.max
 }
 
 // Len returns the number of recorded spans (up to Cap).
@@ -67,10 +70,7 @@ func (b *SpanBuffer) Len() int {
 	if b == nil {
 		return 0
 	}
-	if b.full {
-		return len(b.buf)
-	}
-	return b.pos
+	return len(b.buf)
 }
 
 // Dropped returns the number of spans evicted by the ring.
@@ -81,17 +81,25 @@ func (b *SpanBuffer) Dropped() uint64 {
 	return b.dropped
 }
 
-// push appends a span to the ring and returns its slot.
+// push records a span and returns its slot: appended while the ring is
+// below capacity (its storage doubling, never past it), written over the
+// oldest span once it is full.
 func (b *SpanBuffer) push(s Span) int {
-	slot := b.pos
-	if b.full {
-		b.dropped++
+	if n := len(b.buf); n < b.max {
+		if n == cap(b.buf) {
+			grown := make([]Span, n, min(b.max, max(2*n, 16)))
+			copy(grown, b.buf)
+			b.buf = grown
+		}
+		b.buf = append(b.buf, s)
+		return n
 	}
+	slot := b.pos
+	b.dropped++
 	b.buf[slot] = s
 	b.pos++
-	if b.pos == len(b.buf) {
+	if b.pos == b.max {
 		b.pos = 0
-		b.full = true
 	}
 	return slot
 }
@@ -159,11 +167,6 @@ func (b *SpanBuffer) Instant(name string, pid int, vpn uint32, at uint64) {
 func (b *SpanBuffer) Spans() []Span {
 	if b == nil {
 		return nil
-	}
-	if !b.full {
-		out := make([]Span, b.pos)
-		copy(out, b.buf[:b.pos])
-		return out
 	}
 	out := make([]Span, 0, len(b.buf))
 	out = append(out, b.buf[b.pos:]...)

@@ -23,7 +23,8 @@ package telemetry
 // Options configures a Hub.
 type Options struct {
 	// SpanCap bounds the span buffer (default 8192 spans). The buffer is a
-	// ring: once full, the oldest spans are overwritten.
+	// ring that grows on demand up to the bound: once full, the oldest
+	// spans are overwritten.
 	SpanCap int
 }
 

@@ -213,7 +213,8 @@ type Config struct {
 	// unaffected (see BenchmarkTelemetryOnOff).
 	Telemetry bool
 	// TelemetrySpanCap bounds the span ring (default 8192 spans; the
-	// oldest are overwritten once full).
+	// oldest are overwritten once full). It is a bound, not a
+	// preallocation: the ring grows on demand up to it.
 	TelemetrySpanCap int
 
 	// Kernel knobs.

@@ -291,3 +291,29 @@ loop:
 		t.Errorf("telemetry-on throughput %.0f is >5%% below telemetry-off %.0f", on, off)
 	}
 }
+
+// TestTelemetryMachineAllocs guards what telemetry adds to a machine that
+// records nothing: the span ring grows on demand, so New and Close with
+// Telemetry on allocate under 64 KiB more than with it off, where a
+// preallocated 8192-span ring took 576 KiB. The machine's own share, about
+// 240 KB of frame allocator state at the default 64 MiB, is the same in
+// both arms.
+func TestTelemetryMachineAllocs(t *testing.T) {
+	bytesPerNew := func(telemetry bool) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := splitmem.New(splitmem.Config{Protection: splitmem.ProtSplit, Telemetry: telemetry})
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Close()
+			}
+		}).AllocedBytesPerOp()
+	}
+	on, off := bytesPerNew(true), bytesPerNew(false)
+	if on-off >= 64<<10 {
+		t.Fatalf("Telemetry New+Close allocates %d bytes, %d without telemetry: want under 64 KiB more", on, off)
+	}
+	t.Logf("New+Close: %d bytes with telemetry, %d without", on, off)
+}
