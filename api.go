@@ -44,6 +44,35 @@ func rate01(name string, v float64) error {
 	return nil
 }
 
+// Machine size limits, shared by Validate and the Image reader (which
+// calls an image past them corrupt), so that every machine New accepts
+// writes checkpoints ReadImage can boot.
+const (
+	maxPhysBytes = 1 << 30
+	maxTLBSize   = 1 << 20 // ITLBSize, DTLBSize
+	maxRingCap   = 1 << 24 // TraceDepth, TelemetrySpanCap
+)
+
+// checkSizes rejects a size field that is negative or past its limit.
+func (cfg Config) checkSizes() error {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"ITLBSize", cfg.ITLBSize, maxTLBSize}, {"DTLBSize", cfg.DTLBSize, maxTLBSize},
+		{"PhysBytes", cfg.PhysBytes, maxPhysBytes},
+		{"TraceDepth", cfg.TraceDepth, maxRingCap}, {"TelemetrySpanCap", cfg.TelemetrySpanCap, maxRingCap},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%w: negative %s %d", ErrBadConfig, f.name, f.v)
+		}
+		if f.v > f.max {
+			return fmt.Errorf("%w: %s %d exceeds the limit %d", ErrBadConfig, f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
+
 // Validate checks the configuration for values no machine can honor. New
 // calls it first, so a Config that survives Validate either boots or fails
 // for an internal reason; services can therefore map ErrBadConfig to a
@@ -62,24 +91,12 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: ForensicShellcode is %d bytes; it must fit one %d-byte code twin",
 			ErrBadConfig, n, mem.PageSize)
 	}
-	if cfg.ITLBSize < 0 {
-		return fmt.Errorf("%w: negative ITLBSize %d", ErrBadConfig, cfg.ITLBSize)
-	}
-	if cfg.DTLBSize < 0 {
-		return fmt.Errorf("%w: negative DTLBSize %d", ErrBadConfig, cfg.DTLBSize)
-	}
-	if cfg.PhysBytes < 0 {
-		return fmt.Errorf("%w: negative PhysBytes %d", ErrBadConfig, cfg.PhysBytes)
+	if err := cfg.checkSizes(); err != nil {
+		return err
 	}
 	if cfg.PhysBytes > 0 && cfg.PhysBytes < int(mem.PageSize) {
 		return fmt.Errorf("%w: PhysBytes %d smaller than one %d-byte page",
 			ErrBadConfig, cfg.PhysBytes, mem.PageSize)
-	}
-	if cfg.TraceDepth < 0 {
-		return fmt.Errorf("%w: negative TraceDepth %d", ErrBadConfig, cfg.TraceDepth)
-	}
-	if cfg.TelemetrySpanCap < 0 {
-		return fmt.Errorf("%w: negative TelemetrySpanCap %d", ErrBadConfig, cfg.TelemetrySpanCap)
 	}
 	c := cfg.Chaos
 	for _, r := range []struct {

@@ -159,8 +159,9 @@ type Engine struct {
 	tel   *engineTel // nil when telemetry is disabled
 
 	// traceScratch is the reusable backing array for retired-instruction
-	// snapshots attached to detection events — one allocation for the
-	// engine's lifetime instead of one per detection.
+	// snapshots attached to detection events: allocated at the first
+	// detection and reused, growing only as the ring does, instead of one
+	// allocation per detection.
 	traceScratch []trace.Entry
 }
 
@@ -175,11 +176,7 @@ func New(cfg Config) *Engine {
 	if cfg.MixedOnly {
 		cfg.UnsplitNX = true
 	}
-	e := &Engine{cfg: cfg, tel: newEngineTel(cfg.Hub)}
-	if cfg.TraceRing != nil {
-		e.traceScratch = make([]trace.Entry, 0, cfg.TraceRing.Cap())
-	}
-	return e
+	return &Engine{cfg: cfg, tel: newEngineTel(cfg.Hub)}
 }
 
 // Name implements kernel.Protector.

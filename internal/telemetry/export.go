@@ -160,25 +160,51 @@ func (b *SpanBuffer) WriteSpansJSONL(w io.Writer) error {
 	return nil
 }
 
-// traceEvent is one Chrome trace_event record. The "X" phase is a
-// complete (begin+end) slice; "i" is an instant; "M" is metadata naming
-// processes and threads.
-type traceEvent struct {
+// TraceEvent is one Chrome trace_event record, for simulated-cycle and
+// wall-clock spans alike. The "X" phase is a complete (begin+end) slice;
+// "i" is an instant; "M" is metadata naming processes and threads.
+type TraceEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
-	TS    uint64         `json:"ts"` // microseconds (1 simulated cycle = 1 µs)
+	TS    uint64         `json:"ts"` // microseconds from the clock's origin
 	Dur   uint64         `json:"dur,omitempty"`
 	PID   int            `json:"pid"`
-	TID   uint32         `json:"tid"`
+	TID   int            `json:"tid"`
 	Cat   string         `json:"cat,omitempty"`
 	Scope string         `json:"s,omitempty"` // instant scope
 	Args  map[string]any `json:"args,omitempty"`
 }
 
+// LaneName returns the metadata record naming a trace process (kind
+// "process_name", tid 0) or a thread within one (kind "thread_name").
+func LaneName(kind string, pid, tid int, name string) TraceEvent {
+	return TraceEvent{Name: kind, Phase: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}}
+}
+
+// SpanEvent returns the record for one span: a thread-scoped instant, or a
+// complete slice of dur microseconds.
+func SpanEvent(name, cat string, pid, tid int, ts, dur uint64, instant bool, args map[string]any) TraceEvent {
+	ev := TraceEvent{Name: name, Phase: "X", TS: ts, Dur: dur, PID: pid, TID: tid, Cat: cat, Args: args}
+	if instant {
+		ev.Phase, ev.Scope, ev.Dur = "i", "t", 0
+	}
+	return ev
+}
+
 type traceFile struct {
-	TraceEvents     []traceEvent      `json:"traceEvents"`
+	TraceEvents     []TraceEvent      `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`
 	OtherData       map[string]string `json:"otherData,omitempty"`
+}
+
+// WriteTraceFile renders events (non-nil) as one trace_event JSON file,
+// the one writer for both clocks; clock names the time base.
+func WriteTraceFile(w io.Writer, clock string, events []TraceEvent) error {
+	return json.NewEncoder(w).Encode(traceFile{
+		TraceEvents:     events,
+		DisplayTimeUnit: "ms",
+		OtherData:       map[string]string{"clock": clock},
+	})
 }
 
 // WriteTraceEvents renders the span buffer as Chrome trace_event JSON.
@@ -188,13 +214,6 @@ type traceFile struct {
 // PIDs to display names. Nil-safe.
 func (b *SpanBuffer) WriteTraceEvents(w io.Writer, procNames map[int]string) error {
 	spans := b.Spans()
-	tf := traceFile{
-		DisplayTimeUnit: "ms",
-		TraceEvents:     make([]traceEvent, 0, len(spans)+16),
-		OtherData: map[string]string{
-			"clock": "simulated cycles (1 cycle exported as 1us)",
-		},
-	}
 
 	// Metadata: name every process and every per-page track we will emit.
 	type track struct {
@@ -203,7 +222,7 @@ func (b *SpanBuffer) WriteTraceEvents(w io.Writer, procNames map[int]string) err
 	}
 	seenProc := map[int]bool{}
 	seenTrack := map[track]bool{}
-	var meta []traceEvent
+	var meta []TraceEvent
 	for _, s := range spans {
 		if !seenProc[s.PID] {
 			seenProc[s.PID] = true
@@ -211,10 +230,7 @@ func (b *SpanBuffer) WriteTraceEvents(w io.Writer, procNames map[int]string) err
 			if name == "" {
 				name = fmt.Sprintf("pid %d", s.PID)
 			}
-			meta = append(meta, traceEvent{
-				Name: "process_name", Phase: "M", PID: s.PID,
-				Args: map[string]any{"name": name},
-			})
+			meta = append(meta, LaneName("process_name", s.PID, 0, name))
 		}
 		tr := track{pid: s.PID, vpn: s.VPN}
 		if !seenTrack[tr] {
@@ -223,10 +239,7 @@ func (b *SpanBuffer) WriteTraceEvents(w io.Writer, procNames map[int]string) err
 			if s.VPN != 0 {
 				tname = fmt.Sprintf("page 0x%08x", s.VPN<<12)
 			}
-			meta = append(meta, traceEvent{
-				Name: "thread_name", Phase: "M", PID: s.PID, TID: s.VPN,
-				Args: map[string]any{"name": tname},
-			})
+			meta = append(meta, LaneName("thread_name", s.PID, int(s.VPN), tname))
 		}
 	}
 	sort.SliceStable(meta, func(i, j int) bool {
@@ -235,33 +248,17 @@ func (b *SpanBuffer) WriteTraceEvents(w io.Writer, procNames map[int]string) err
 		}
 		return meta[i].TID < meta[j].TID
 	})
-	tf.TraceEvents = append(tf.TraceEvents, meta...)
 
+	events := append(make([]TraceEvent, 0, len(meta)+len(spans)), meta...)
 	for _, s := range spans {
-		ev := traceEvent{
-			Name: s.Name,
-			TS:   s.Start,
-			PID:  s.PID,
-			TID:  s.VPN,
-			Cat:  "splitmem",
-			Args: map[string]any{"seq": s.Seq},
-		}
+		args := map[string]any{"seq": s.Seq}
 		if s.Parent != 0 {
-			ev.Args["parent"] = s.Parent
+			args["parent"] = s.Parent
 		}
 		if s.VPN != 0 {
-			ev.Args["page"] = fmt.Sprintf("0x%08x", s.VPN<<12)
+			args["page"] = fmt.Sprintf("0x%08x", s.VPN<<12)
 		}
-		if s.Instant {
-			ev.Phase = "i"
-			ev.Scope = "t"
-		} else {
-			ev.Phase = "X"
-			ev.Dur = s.Dur()
-		}
-		tf.TraceEvents = append(tf.TraceEvents, ev)
+		events = append(events, SpanEvent(s.Name, "splitmem", s.PID, int(s.VPN), s.Start, s.Dur(), s.Instant, args))
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(tf)
+	return WriteTraceFile(w, "simulated cycles (1 cycle exported as 1us)", events)
 }

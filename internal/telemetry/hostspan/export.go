@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"splitmem/internal/telemetry"
 )
 
 // TraceDoc is the JSON wire form of one trace's spans as served by the
@@ -57,34 +59,14 @@ func SortByStart(spans []Span) {
 	})
 }
 
-// traceEvent is one Chrome trace_event record ("X" = complete slice,
-// "i" = instant, "M" = metadata). Mirrors the simulated-cycle exporter
-// in internal/telemetry, but timestamps are real microseconds.
-type traceEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"` // microseconds since the earliest span
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent      `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OtherData       map[string]string `json:"otherData,omitempty"`
-}
-
 // WriteTraceEvents renders spans — typically one trace's merged spans
 // from the gateway and every replica it visited — as a single Chrome
-// trace_event timeline loadable in Perfetto or chrome://tracing. Each
-// recording process becomes a trace "process" and each trace ID a
-// "thread" within it, so a live-migrated job renders as one causal track
-// hopping across process lanes. Timestamps are wall-clock microseconds
-// relative to the earliest span.
+// trace_event timeline loadable in Perfetto or chrome://tracing, through
+// the trace-file writer shared with the simulated-cycle spans
+// (telemetry.WriteTraceFile). Each recording process becomes a trace
+// "process" and each trace ID a "thread" within it, so a live-migrated job
+// renders as one causal track hopping across process lanes. Timestamps are
+// wall-clock microseconds relative to the earliest span.
 func WriteTraceEvents(w io.Writer, spans []Span) error {
 	spans = append([]Span(nil), spans...)
 	SortByStart(spans)
@@ -93,23 +75,17 @@ func WriteTraceEvents(w io.Writer, spans []Span) error {
 	if len(spans) > 0 {
 		epoch = spans[0].Start
 	}
-	us := func(t time.Time) int64 {
+	// Spans are start-sorted, so no offset from epoch is negative.
+	us := func(t time.Time) uint64 {
 		if t.IsZero() {
 			return 0
 		}
-		return t.Sub(epoch).Microseconds()
-	}
-
-	tf := traceFile{
-		DisplayTimeUnit: "ms",
-		TraceEvents:     make([]traceEvent, 0, len(spans)+8),
-		OtherData: map[string]string{
-			"clock": "host wall clock (us since earliest span)",
-		},
+		return uint64(t.Sub(epoch).Microseconds())
 	}
 
 	// Stable process and trace lanes: pid per recording process, tid per
 	// trace ID, both in first-seen (already start-sorted) order.
+	events := make([]telemetry.TraceEvent, 0, len(spans)+8)
 	pids := map[string]int{}
 	tids := map[string]int{}
 	type lane struct{ pid, tid int }
@@ -119,10 +95,7 @@ func WriteTraceEvents(w io.Writer, spans []Span) error {
 		if !ok {
 			pid = len(pids) + 1
 			pids[s.Proc] = pid
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: "process_name", Phase: "M", PID: pid,
-				Args: map[string]any{"name": s.Proc},
-			})
+			events = append(events, telemetry.LaneName("process_name", pid, 0, s.Proc))
 		}
 		tid, ok := tids[s.Trace]
 		if !ok {
@@ -135,43 +108,26 @@ func WriteTraceEvents(w io.Writer, spans []Span) error {
 			if s.Trace == "" {
 				tname = "process events"
 			}
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: "thread_name", Phase: "M", PID: pid, TID: tid,
-				Args: map[string]any{"name": tname},
-			})
+			events = append(events, telemetry.LaneName("thread_name", pid, tid, tname))
 		}
 	}
 
 	for _, s := range spans {
-		ev := traceEvent{
-			Name: s.Name,
-			TS:   us(s.Start),
-			PID:  pids[s.Proc],
-			TID:  tids[s.Trace],
-			Cat:  "hostspan",
-			Args: map[string]any{"seq": s.Seq, "proc": s.Proc},
-		}
+		args := map[string]any{"seq": s.Seq, "proc": s.Proc}
 		if s.Trace != "" {
-			ev.Args["trace"] = s.Trace
+			args["trace"] = s.Trace
 		}
 		if s.Parent != 0 {
-			ev.Args["parent"] = s.Parent
+			args["parent"] = s.Parent
 		}
 		for k, v := range s.Attrs {
-			ev.Args[k] = v
+			args[k] = v
 		}
-		if s.Instant {
-			ev.Phase = "i"
-			ev.Scope = "t"
-		} else {
-			ev.Phase = "X"
-			ev.Dur = s.Dur().Microseconds()
-			if s.End.IsZero() {
-				ev.Args["unfinished"] = true
-			}
+		if !s.Instant && s.End.IsZero() {
+			args["unfinished"] = true
 		}
-		tf.TraceEvents = append(tf.TraceEvents, ev)
+		events = append(events, telemetry.SpanEvent(s.Name, "hostspan", pids[s.Proc], tids[s.Trace],
+			us(s.Start), uint64(s.Dur().Microseconds()), s.Instant, args))
 	}
-
-	return json.NewEncoder(w).Encode(tf)
+	return telemetry.WriteTraceFile(w, "host wall clock (us since earliest span)", events)
 }

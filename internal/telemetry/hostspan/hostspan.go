@@ -1,17 +1,18 @@
-// Package hostspan is the wall-clock sibling of internal/telemetry's
-// simulated-cycle span ring: a goroutine-safe bounded recorder of
-// host-side lifecycle episodes across the serve/cluster tier. Where the
-// telemetry SpanBuffer answers "where do a machine's simulated cycles
-// go?", a hostspan Recorder answers "where does a job's wall-clock
-// latency go?" — admission, queueing, run slices, checkpoint writes,
-// checkpoint export, migration hops, resume, stream stitching.
+// Package hostspan records host-side lifecycle episodes across the
+// serve/cluster tier on the wall clock: a goroutine-safe Recorder, a
+// mutex-guarded front end over the same telemetry.Ring that holds the
+// simulated-cycle spans and the execution trace. Where the telemetry
+// SpanBuffer answers "where do a machine's simulated cycles go?", a
+// hostspan Recorder answers "where does a job's wall-clock latency go?" —
+// admission, queueing, run slices, checkpoint writes, checkpoint export,
+// migration hops, resume, stream stitching.
 //
 // Every span carries a trace ID. The gateway mints one per client
 // submission and propagates it to replicas in the X-Splitmem-Trace
 // header, so the spans a migrated job leaves on the gateway and on every
 // replica it visited can be reassembled into one causal timeline
 // (WriteTraceEvents in export.go renders it as a single Chrome
-// trace_event file).
+// trace_event file, through the writer the simulated-cycle spans use).
 //
 // All methods are nil-safe: a nil *Recorder records nothing, which is
 // how tracing is disabled without touching call sites.
@@ -25,6 +26,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"splitmem/internal/telemetry"
 )
 
 // TraceHeader is the HTTP header that carries a job's trace ID between
@@ -72,43 +75,31 @@ func (s Span) Dur() time.Duration {
 	return s.End.Sub(s.Start)
 }
 
-// SpanID refers to an in-flight span handed out by Begin. The zero value
-// is invalid and safely ignored by End and Annotate.
-type SpanID struct {
-	slot int32
-	seq  uint64
-}
+// SpanID refers to a span handed out by Begin. The zero value is invalid
+// and safely ignored by End and Annotate.
+type SpanID = telemetry.Ref
 
-// Valid reports whether the id refers to a live Begin.
-func (id SpanID) Valid() bool { return id.seq != 0 }
-
-// Recorder is a bounded, mutex-guarded ring of host spans. Once full,
-// new spans overwrite the oldest; an evicted span's End quietly no-ops.
+// Recorder is a mutex-guarded front end over a telemetry.Ring of host
+// spans. The ring grows on demand up to its capacity; once full, new spans
+// overwrite the oldest, and an evicted span's End quietly no-ops.
 type Recorder struct {
 	proc string
 
-	mu       sync.Mutex
-	buf      []Span
-	pos      int
-	full     bool
-	nextSeq  uint64
-	dropped  uint64
-	recorded uint64
+	mu   sync.Mutex
+	ring telemetry.Ring[Span] // a span's Seq is its push number
 }
 
 // DefaultCap is the span-ring capacity when the caller passes 0.
 const DefaultCap = 4096
 
 // NewRecorder creates a recorder for the named process holding up to
-// capacity spans (0 selects DefaultCap; minimum 64).
+// capacity spans (0 selects DefaultCap; minimum 64). No span storage is
+// allocated until the first span is recorded.
 func NewRecorder(proc string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	if capacity < 64 {
-		capacity = 64
-	}
-	return &Recorder{proc: proc, buf: make([]Span, capacity)}
+	return &Recorder{proc: proc, ring: telemetry.NewRing[Span](max(capacity, 64))}
 }
 
 // Proc returns the recorder's process identity ("" for nil).
@@ -131,22 +122,6 @@ func attrMap(attrs []string) map[string]string {
 	return m
 }
 
-// push appends a span to the ring. Caller holds r.mu.
-func (r *Recorder) push(s Span) int {
-	slot := r.pos
-	if r.full {
-		r.dropped++
-	}
-	r.buf[slot] = s
-	r.recorded++
-	r.pos++
-	if r.pos == len(r.buf) {
-		r.pos = 0
-		r.full = true
-	}
-	return slot
-}
-
 // Begin opens a span under the given trace at time.Now. attrs are
 // alternating key/value pairs. Nil-safe.
 func (r *Recorder) Begin(trace, name string, attrs ...string) SpanID {
@@ -161,18 +136,15 @@ func (r *Recorder) BeginChild(trace, name string, parent SpanID, attrs ...string
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.nextSeq++
-	seq := r.nextSeq
-	slot := r.push(Span{
+	return r.ring.Push(Span{
 		Trace:  trace,
-		Seq:    seq,
-		Parent: parent.seq,
+		Seq:    r.ring.Pushed() + 1,
+		Parent: parent.Seq(),
 		Name:   name,
 		Proc:   r.proc,
 		Start:  time.Now(),
 		Attrs:  attrMap(attrs),
 	})
-	return SpanID{slot: int32(slot), seq: seq}
 }
 
 // End finishes the span at time.Now, merging any extra attrs, and
@@ -184,16 +156,13 @@ func (r *Recorder) End(id SpanID, attrs ...string) time.Duration {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := &r.buf[id.slot]
-	if s.Seq != id.seq {
+	s := r.ring.Get(id)
+	if s == nil {
 		return 0 // evicted and overwritten
 	}
 	s.End = time.Now()
 	for i := 0; i+1 < len(attrs); i += 2 {
-		if s.Attrs == nil {
-			s.Attrs = map[string]string{}
-		}
-		s.Attrs[attrs[i]] = attrs[i+1]
+		s.annotate(attrs[i], attrs[i+1])
 	}
 	return s.End.Sub(s.Start)
 }
@@ -205,10 +174,13 @@ func (r *Recorder) Annotate(id SpanID, key, value string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := &r.buf[id.slot]
-	if s.Seq != id.seq {
-		return
+	if s := r.ring.Get(id); s != nil {
+		s.annotate(key, value)
 	}
+}
+
+// annotate sets one attribute of the span.
+func (s *Span) annotate(key, value string) {
 	if s.Attrs == nil {
 		s.Attrs = map[string]string{}
 	}
@@ -222,11 +194,10 @@ func (r *Recorder) Instant(trace, name string, attrs ...string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.nextSeq++
 	now := time.Now()
-	r.push(Span{
+	r.ring.Push(Span{
 		Trace:   trace,
-		Seq:     r.nextSeq,
+		Seq:     r.ring.Pushed() + 1,
 		Name:    name,
 		Proc:    r.proc,
 		Start:   now,
@@ -236,19 +207,6 @@ func (r *Recorder) Instant(trace, name string, attrs ...string) {
 	})
 }
 
-// snapshotLocked copies the ring oldest-first. Caller holds r.mu.
-func (r *Recorder) snapshotLocked() []Span {
-	if !r.full {
-		out := make([]Span, r.pos)
-		copy(out, r.buf[:r.pos])
-		return out
-	}
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.pos:]...)
-	out = append(out, r.buf[:r.pos]...)
-	return out
-}
-
 // Spans returns a copy of the recorded spans, oldest first. Nil-safe.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
@@ -256,7 +214,7 @@ func (r *Recorder) Spans() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapshotLocked()
+	return r.ring.Items()
 }
 
 // SpansFor returns the recorded spans belonging to one trace, oldest
@@ -268,7 +226,7 @@ func (r *Recorder) SpansFor(trace string) []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Span
-	for _, s := range r.snapshotLocked() {
+	for _, s := range r.ring.AppendTo(nil) {
 		if s.Trace == trace {
 			out = append(out, s)
 		}
@@ -276,13 +234,15 @@ func (r *Recorder) SpansFor(trace string) []Span {
 	return out
 }
 
-// Tail returns up to the n most recent spans, oldest first.
+// Tail returns up to the n most recent spans, oldest first (all of them
+// when n <= 0). Only those n are copied. Nil-safe.
 func (r *Recorder) Tail(n int) []Span {
-	all := r.Spans()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
+	if r == nil {
+		return nil
 	}
-	return all
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring.Tail(n)
 }
 
 // Len returns the number of spans currently held in the ring.
@@ -292,10 +252,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.pos
+	return r.ring.Len()
 }
 
 // Recorded returns the total spans ever recorded (including evicted).
@@ -305,7 +262,7 @@ func (r *Recorder) Recorded() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.recorded
+	return r.ring.Pushed()
 }
 
 // Dropped returns the number of spans evicted by the ring.
@@ -315,5 +272,5 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.ring.Evicted()
 }

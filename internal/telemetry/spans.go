@@ -25,36 +25,23 @@ func (s Span) Dur() uint64 {
 	return s.End - s.Start
 }
 
-// SpanID refers to an in-flight span handed out by Begin. The zero value
-// is invalid and safely ignored by End.
-type SpanID struct {
-	slot int32
-	seq  uint64
-}
+// SpanID refers to a span handed out by Begin; its Seq is the span's. The
+// zero value is invalid and safely ignored by End.
+type SpanID = Ref
 
-// Valid reports whether the id refers to a live Begin.
-func (id SpanID) Valid() bool { return id.seq != 0 }
-
-// SpanBuffer is a bounded ring of spans. It grows on demand up to its
-// capacity, so a machine that records few spans pays for few; once full,
-// new spans overwrite the oldest — including unfinished ones, whose End
-// then quietly no-ops. Not goroutine-safe (the simulator is
-// single-threaded).
+// SpanBuffer is a bounded ring of spans on the simulated-cycle clock, a
+// front end over Ring: it grows on demand up to its capacity, so a machine
+// that records few spans pays for few; once full, new spans overwrite the
+// oldest — including unfinished ones, whose End then quietly no-ops. Not
+// goroutine-safe (the simulator is single-threaded).
 type SpanBuffer struct {
-	buf     []Span // recorded spans; grows to max, then wraps
-	max     int
-	pos     int // once full, the slot the next span overwrites (the oldest)
-	nextSeq uint64
-	dropped uint64 // spans overwritten before or after completion
+	ring Ring[Span] // a span's Seq is its push number
 }
 
 // NewSpanBuffer creates a ring holding up to n spans (minimum 16). No span
 // storage is allocated until the first span is recorded.
 func NewSpanBuffer(n int) *SpanBuffer {
-	if n < 16 {
-		n = 16
-	}
-	return &SpanBuffer{max: n}
+	return &SpanBuffer{ring: NewRing[Span](max(n, 16))}
 }
 
 // Cap returns the ring capacity.
@@ -62,7 +49,7 @@ func (b *SpanBuffer) Cap() int {
 	if b == nil {
 		return 0
 	}
-	return b.max
+	return b.ring.Cap()
 }
 
 // Len returns the number of recorded spans (up to Cap).
@@ -70,7 +57,7 @@ func (b *SpanBuffer) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.buf)
+	return b.ring.Len()
 }
 
 // Dropped returns the number of spans evicted by the ring.
@@ -78,30 +65,7 @@ func (b *SpanBuffer) Dropped() uint64 {
 	if b == nil {
 		return 0
 	}
-	return b.dropped
-}
-
-// push records a span and returns its slot: appended while the ring is
-// below capacity (its storage doubling, never past it), written over the
-// oldest span once it is full.
-func (b *SpanBuffer) push(s Span) int {
-	if n := len(b.buf); n < b.max {
-		if n == cap(b.buf) {
-			grown := make([]Span, n, min(b.max, max(2*n, 16)))
-			copy(grown, b.buf)
-			b.buf = grown
-		}
-		b.buf = append(b.buf, s)
-		return n
-	}
-	slot := b.pos
-	b.dropped++
-	b.buf[slot] = s
-	b.pos++
-	if b.pos == b.max {
-		b.pos = 0
-	}
-	return slot
+	return b.ring.Evicted()
 }
 
 // Begin opens a root span at the given cycle count and returns its id.
@@ -116,17 +80,14 @@ func (b *SpanBuffer) BeginChild(name string, pid int, vpn uint32, start uint64, 
 	if b == nil {
 		return SpanID{}
 	}
-	b.nextSeq++
-	seq := b.nextSeq
-	slot := b.push(Span{
-		Seq:    seq,
+	return b.ring.Push(Span{
+		Seq:    b.ring.Pushed() + 1,
 		Parent: parent.seq,
 		Name:   name,
 		PID:    pid,
 		VPN:    vpn,
 		Start:  start,
 	})
-	return SpanID{slot: int32(slot), seq: seq}
 }
 
 // End finishes the span at the given cycle count and returns its start
@@ -134,12 +95,12 @@ func (b *SpanBuffer) BeginChild(name string, pid int, vpn uint32, start uint64, 
 // the ring — or the id is invalid — End reports ok=false and does
 // nothing.
 func (b *SpanBuffer) End(id SpanID, end uint64) (start uint64, ok bool) {
-	if b == nil || !id.Valid() {
+	if b == nil {
 		return 0, false
 	}
-	s := &b.buf[id.slot]
-	if s.Seq != id.seq {
-		return 0, false // evicted and overwritten
+	s := b.ring.Get(id)
+	if s == nil {
+		return 0, false // invalid, or evicted and overwritten
 	}
 	s.End = end
 	return s.Start, true
@@ -151,9 +112,8 @@ func (b *SpanBuffer) Instant(name string, pid int, vpn uint32, at uint64) {
 	if b == nil {
 		return
 	}
-	b.nextSeq++
-	b.push(Span{
-		Seq:     b.nextSeq,
+	b.ring.Push(Span{
+		Seq:     b.ring.Pushed() + 1,
 		Name:    name,
 		PID:     pid,
 		VPN:     vpn,
@@ -168,17 +128,14 @@ func (b *SpanBuffer) Spans() []Span {
 	if b == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(b.buf))
-	out = append(out, b.buf[b.pos:]...)
-	out = append(out, b.buf[:b.pos]...)
-	return out
+	return b.ring.Items()
 }
 
-// Tail returns up to the n most recent spans, oldest first.
+// Tail returns up to the n most recent spans, oldest first (all of them
+// when n <= 0). Nil-safe.
 func (b *SpanBuffer) Tail(n int) []Span {
-	all := b.Spans()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
+	if b == nil {
+		return nil
 	}
-	return all
+	return b.ring.Tail(n)
 }

@@ -1,5 +1,5 @@
-// Package trace provides a fixed-size execution-trace ring buffer for the
-// S86 machine: the last N retired instructions with their addresses and
+// Package trace provides a bounded execution-trace ring for the S86
+// machine: the last N retired instructions with their addresses and
 // cycle counts. The splitmem-run tool uses it for post-mortem listings of
 // killed processes, and forensic tooling can attach it to enrich
 // injection-detection reports with the instructions that led up to the
@@ -12,6 +12,7 @@ import (
 
 	"splitmem/internal/isa"
 	"splitmem/internal/snapshot"
+	"splitmem/internal/telemetry"
 )
 
 // Entry is one retired instruction.
@@ -21,81 +22,53 @@ type Entry struct {
 	Instr  isa.Instr
 }
 
-// Ring is a fixed-capacity execution trace. The zero value is unusable;
-// create one with NewRing.
+// Ring is a bounded execution trace, a front end over telemetry.Ring: it
+// keeps the last Cap retired instructions, its storage growing on demand,
+// so a deep ring on a short run pays for the instructions it saw. The zero
+// value is unusable; create one with NewRing.
 type Ring struct {
-	buf  []Entry
-	pos  int
-	full bool
+	ring telemetry.Ring[Entry]
 }
 
 // NewRing creates a ring holding the last n entries (minimum 1).
 func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]Entry, n)}
+	return &Ring{ring: telemetry.NewRing[Entry](max(n, 1))}
 }
 
 // Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return r.ring.Cap() }
 
 // Len returns the number of recorded entries (up to Cap).
-func (r *Ring) Len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.pos
-}
+func (r *Ring) Len() int { return r.ring.Len() }
 
 // Add records one entry, evicting the oldest when full.
-func (r *Ring) Add(e Entry) {
-	r.buf[r.pos] = e
-	r.pos++
-	if r.pos == len(r.buf) {
-		r.pos = 0
-		r.full = true
-	}
-}
+func (r *Ring) Add(e Entry) { r.ring.Push(e) }
 
 // Reset clears the ring.
-func (r *Ring) Reset() {
-	r.pos = 0
-	r.full = false
-}
+func (r *Ring) Reset() { r.ring.Reset() }
 
 // Entries returns the recorded entries, oldest first.
-func (r *Ring) Entries() []Entry {
-	if !r.full {
-		out := make([]Entry, r.pos)
-		copy(out, r.buf[:r.pos])
-		return out
-	}
-	out := make([]Entry, 0, len(r.buf))
-	out = append(out, r.buf[r.pos:]...)
-	out = append(out, r.buf[:r.pos]...)
-	return out
-}
+func (r *Ring) Entries() []Entry { return r.ring.Items() }
 
 // EntriesInto appends the recorded entries, oldest first, to dst and
 // returns the extended slice. Unlike Entries it allocates only when dst
 // lacks capacity, so repeat callers (the detection hot path) can reuse one
 // scratch slice for the life of the ring.
-func (r *Ring) EntriesInto(dst []Entry) []Entry {
-	if !r.full {
-		return append(dst, r.buf[:r.pos]...)
-	}
-	dst = append(dst, r.buf[r.pos:]...)
-	return append(dst, r.buf[:r.pos]...)
-}
+func (r *Ring) EntriesInto(dst []Entry) []Entry { return r.ring.AppendTo(dst) }
 
-// EncodeState serializes the ring positionally (buffer, cursor, wrap flag)
-// so a restored ring renders byte-identical listings.
+// EncodeState serializes the ring positionally, as the fixed array of Cap
+// slots it models: capacity, cursor, wrap flag, then every slot, unfilled
+// ones as zero entries. A restored ring renders byte-identical listings.
 func (r *Ring) EncodeState(w *snapshot.Writer) {
-	w.U32(uint32(len(r.buf)))
-	w.Int(r.pos)
-	w.Bool(r.full)
-	for _, e := range r.buf {
+	next, wrapped, filled := r.ring.Slots()
+	w.U32(uint32(r.ring.Cap()))
+	w.Int(next)
+	w.Bool(wrapped)
+	for i := range r.ring.Cap() {
+		var e Entry
+		if i < len(filled) {
+			e = filled[i]
+		}
 		w.U64(e.Cycles)
 		w.U32(e.EIP)
 		w.U8(uint8(e.Instr.Op))
@@ -107,18 +80,23 @@ func (r *Ring) EncodeState(w *snapshot.Writer) {
 }
 
 // DecodeState restores state serialized by EncodeState into a ring of the
-// same capacity.
+// same capacity, keeping only the filled slots: Cap of them once wrapped,
+// cursor of them before.
 func (r *Ring) DecodeState(rd *snapshot.Reader) error {
-	if n := rd.U32(); int(n) != len(r.buf) {
-		return snapshot.Corruptf("trace: ring of %d entries, machine has %d", n, len(r.buf))
+	n := r.ring.Cap()
+	if c := rd.U32(); int(c) != n {
+		return snapshot.Corruptf("trace: ring of %d entries, machine has %d", c, n)
 	}
-	r.pos = rd.Int()
-	r.full = rd.Bool()
-	if r.pos < 0 || r.pos >= len(r.buf) {
-		return snapshot.Corruptf("trace: cursor %d out of range", r.pos)
+	next, keep := rd.Int(), n
+	if !rd.Bool() {
+		keep = next
 	}
-	for i := range r.buf {
-		e := &r.buf[i]
+	if next < 0 || next >= n {
+		return snapshot.Corruptf("trace: cursor %d out of range", next)
+	}
+	var filled []Entry
+	for i := 0; i < n && rd.Err() == nil; i++ {
+		var e Entry
 		e.Cycles = rd.U64()
 		e.EIP = rd.U32()
 		e.Instr.Op = isa.Op(rd.U8())
@@ -126,8 +104,15 @@ func (r *Ring) DecodeState(rd *snapshot.Reader) error {
 		e.Instr.R2 = rd.U8()
 		e.Instr.Imm = rd.U32()
 		e.Instr.Size = rd.Int()
+		if i < keep {
+			filled = append(filled, e)
+		}
 	}
-	return rd.Err()
+	if err := rd.Err(); err != nil {
+		return err
+	}
+	r.ring.SetSlots(next, filled)
+	return nil
 }
 
 // String renders the trace as a disassembly listing, oldest first.

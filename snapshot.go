@@ -39,9 +39,12 @@ import (
 // aside, in the canonical section order: the Image metadata section. The
 // allocator section follows the config directly because decodeMeta needs
 // both to build the machine around its copy-on-write memory before it can
-// decode the rest.
+// decode the rest. The writer is sized once, from the length of the
+// machine's last metadata section: checkpoints of one machine differ
+// little in size.
 func (m *Machine) encodeMeta() []byte {
 	w := snapshot.NewWriter()
+	w.Grow(m.metaLen)
 	encodeConfig(w, &m.cfg)
 	m.mach.Phys.EncodeMeta(w)
 	m.mach.EncodeState(w)
@@ -54,6 +57,7 @@ func (m *Machine) encodeMeta() []byte {
 	if m.inj != nil {
 		m.inj.EncodeState(w)
 	}
+	m.metaLen = w.Len()
 	return w.Bytes()
 }
 
@@ -85,10 +89,8 @@ func decodeMeta(meta []byte, hook func(Event), base *mem.Base, pmeta *mem.Meta) 
 	// Sanity-cap image-supplied resource demands before New allocates
 	// anything: a hostile image that survives the checksum must not be able
 	// to request an absurd machine.
-	if cfg.PhysBytes > 1<<30 || cfg.ITLBSize > 1<<20 || cfg.DTLBSize > 1<<20 ||
-		cfg.TraceDepth > 1<<24 || cfg.TelemetrySpanCap > 1<<24 {
-		return nil, snapshot.Corruptf("image demands an implausible machine (phys %d, tlb %d/%d, trace %d, spans %d)",
-			cfg.PhysBytes, cfg.ITLBSize, cfg.DTLBSize, cfg.TraceDepth, cfg.TelemetrySpanCap)
+	if err := cfg.checkSizes(); err != nil {
+		return nil, snapshot.Corruptf("image demands an implausible machine: %v", err)
 	}
 	cfg.EventHook = hook
 	if pmeta != nil {
@@ -117,6 +119,7 @@ func decodeMeta(meta []byte, hook func(Event), base *mem.Base, pmeta *mem.Meta) 
 		// accepts is still a corrupt image from the caller's point of view.
 		return nil, snapshot.Corruptf("image config rejected: %v", err)
 	}
+	m.metaLen = len(meta)
 	if err := m.mach.DecodeState(r); err != nil {
 		return nil, err
 	}

@@ -236,6 +236,8 @@ type Machine struct {
 	traces *trace.Ring
 	inj    *chaos.Injector
 	hub    *telemetry.Hub
+
+	metaLen int // length of the last metadata section encoded or decoded
 }
 
 // New builds a machine according to cfg. Configurations no machine can
