@@ -21,14 +21,18 @@ package splitmem
 // Wire format: magic, version, the length-prefixed metadata section
 // (snapshot.go), the frame count, the nonzero frames as (number, contents)
 // pairs in ascending order, and a CRC-32 trailer over everything before it.
-// The writer makes one pass over the frames, testing each for a nonzero
-// byte a word at a time, and sizes its buffer once for all of it.
+// The writer makes one pass over the frames up to the allocator's extent
+// (mem.Physical.Extent; every frame past it is zero), testing each for a
+// nonzero byte a word at a time, and sizes its buffer once for all of it.
+// Nothing in the format grows with the configured memory size: the
+// allocator section holds its high-water mark, its released stack and
+// per-frame state up to the extent, and the trace section only the
+// entries the ring holds.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"splitmem/internal/mem"
 	"splitmem/internal/snapshot"
@@ -39,7 +43,7 @@ import (
 // crash-recovery artifact, not an archival format.
 const (
 	imgMagic   = "S86IMG\x00\x01"
-	imgVersion = 2 // v2: the only machine-state format; all-zero frames skipped, no decode-cache slots
+	imgVersion = 3 // v3: allocator and trace sections hold only what the machine used
 )
 
 // Image is an immutable machine image: the machine's architectural state,
@@ -52,14 +56,6 @@ const (
 type Image struct {
 	meta []byte    // canonical section sequence, frames elided
 	base *mem.Base // immutable shared frame contents
-
-	// pmeta caches the decoded physical-allocator section of meta so repeated
-	// boots alias it instead of re-parsing bytes (the warm-pool hot
-	// path). Machine.Image fills it at freeze time; an Image read from bytes
-	// self-warms after its first successful Boot, which is also the boot that
-	// fully validates the byte section. Atomic because Boot is documented
-	// safe for concurrent use.
-	pmeta atomic.Pointer[mem.Meta]
 }
 
 // Image freezes the machine's current architectural state into an Image.
@@ -70,9 +66,7 @@ type Image struct {
 // taking an Image is cheap — no frame bytes move — and repeated calls on an
 // undisturbed machine reuse the same frame store.
 func (m *Machine) Image() (*Image, error) {
-	img := &Image{meta: m.encodeMeta(), base: m.mach.Phys.Seal()}
-	img.pmeta.Store(m.mach.Phys.SnapMeta())
-	return img, nil
+	return &Image{meta: m.encodeMeta(), base: m.mach.Phys.Seal()}, nil
 }
 
 // Boot builds a fresh machine from the Image. The machine shares the Image's
@@ -86,15 +80,9 @@ func (img *Image) BootWithHook(hook func(Event)) (*Machine, error) {
 	if img == nil || img.base == nil {
 		return nil, fmt.Errorf("%w: nil image", ErrBadImage)
 	}
-	pmeta := img.pmeta.Load()
-	m, err := decodeMeta(img.meta, hook, img.base, pmeta)
+	m, err := decodeMeta(img.meta, hook, img.base)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadImage, err)
-	}
-	if pmeta == nil {
-		// First boot of a deserialized image just decoded (and validated) the
-		// allocator section the slow way; cache it so the next boot doesn't.
-		img.pmeta.CompareAndSwap(nil, m.mach.Phys.SnapMeta())
 	}
 	return m, nil
 }
@@ -166,7 +154,6 @@ func (img *Image) ReadFrom(src io.Reader) (int64, error) {
 	}
 	img.meta = dec.meta
 	img.base = dec.base
-	img.pmeta.Store(nil)
 	return int64(len(raw)), nil
 }
 

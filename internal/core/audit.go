@@ -29,7 +29,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"splitmem/internal/kernel"
 	"splitmem/internal/paging"
@@ -66,22 +66,44 @@ func (e *Engine) heal(k *kernel.Kernel, origin string, p *kernel.Process, t *tlb
 	e.violate(k, origin, p, "incoherent %s entry for page %#x: %s", name, vpn, why)
 }
 
+// auditScratch is the Paranoid walk's working state, kept on the Engine so
+// that an audit reuses the last one's storage.
+type auditScratch struct {
+	vpns       []uint32        // every process's split pages, ascending per process
+	from       []int           // procs[i]'s pages are vpns[from[i]:from[i+1]]
+	codeFrames map[uint32]bool // the code twin of every split pair
+	dataFrames map[uint32]bool // the data twin of every split pair
+}
+
 // audit is the Paranoid walk; origin names the protector entry point that
-// just ran, for the event log.
+// just ran, for the event log. Each process's pair table is sorted once, so
+// walks, and therefore event logs, are deterministic.
 func (e *Engine) audit(k *kernel.Kernel, origin string) {
 	e.stats.Audits++
 	m := k.Machine()
 	procs := k.Processes()
 
 	// Global twin-frame registry, and cross-pair duplicate detection.
-	codeFrames := map[uint32]bool{}
-	dataFrames := map[uint32]bool{}
+	s := &e.aud
+	if s.codeFrames == nil {
+		s.codeFrames, s.dataFrames = map[uint32]bool{}, map[uint32]bool{}
+	}
+	clear(s.codeFrames)
+	clear(s.dataFrames)
+	codeFrames, dataFrames := s.codeFrames, s.dataFrames
+	s.vpns, s.from = s.vpns[:0], s.from[:0]
 	for _, p := range procs {
+		s.from = append(s.from, len(s.vpns))
 		st, ok := p.ProtData.(*procState)
 		if !ok {
 			continue
 		}
-		for _, vpn := range sortedVPNs(st) {
+		start := len(s.vpns)
+		for vpn := range st.pairs {
+			s.vpns = append(s.vpns, vpn)
+		}
+		slices.Sort(s.vpns[start:])
+		for _, vpn := range s.vpns[start:] {
 			pr := st.pairs[vpn]
 			if pr.code != 0 {
 				if codeFrames[pr.code] || dataFrames[pr.code] {
@@ -96,7 +118,9 @@ func (e *Engine) audit(k *kernel.Kernel, origin string) {
 		}
 	}
 
-	for _, p := range procs {
+	s.from = append(s.from, len(s.vpns))
+
+	for i, p := range procs {
 		// Trap-flag hygiene holds for every process, split pages or not: the
 		// live flags for the process on the CPU, the saved context otherwise.
 		tf := p.Ctx.Flags.TF
@@ -112,7 +136,7 @@ func (e *Engine) audit(k *kernel.Kernel, origin string) {
 			continue
 		}
 		tlbCurrent := m.Pagetable() == p.PT // the TLBs cache this process's mappings
-		for _, vpn := range sortedVPNs(st) {
+		for _, vpn := range s.vpns[s.from[i]:s.from[i+1]] {
 			pr := st.pairs[vpn]
 
 			// Pair sanity: both twins allocated and distinct.
@@ -174,17 +198,6 @@ func (e *Engine) audit(k *kernel.Kernel, origin string) {
 		e.heal(k, origin, cur, m.DTLB, "DTLB", bad,
 			"loads/stores can reach a code twin")
 	}
-}
-
-// sortedVPNs returns the pair table's keys in ascending order so audit
-// walks — and therefore event logs — are deterministic.
-func sortedVPNs(st *procState) []uint32 {
-	vpns := make([]uint32, 0, len(st.pairs))
-	for vpn := range st.pairs {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	return vpns
 }
 
 // tlbTwinBreaches collects the vpns of entries mapping any frame in the

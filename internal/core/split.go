@@ -163,6 +163,8 @@ type Engine struct {
 	// detection and reused, growing only as the ring does, instead of one
 	// allocation per detection.
 	traceScratch []trace.Entry
+
+	aud auditScratch // the Paranoid audit's reusable working state
 }
 
 // New creates a split-memory engine.

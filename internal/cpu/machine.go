@@ -205,11 +205,10 @@ type Machine struct {
 	handler TrapHandler
 
 	// Superblock engine (superblock.go). sbOn gates it; sb is indexed by
-	// physical frame number and allocated lazily on the first entry — a
-	// frame-count pointer array is too expensive to build (and for the GC
-	// to scan) on machines that never execute, and boots from an Image keep
-	// it off the start-latency path. decEpoch is the global invalidation
-	// stamp bumped on TLB flushes and shootdowns.
+	// physical frame number and grows to the highest frame fetched from,
+	// so it costs what the guest executes, not the memory size. decEpoch
+	// is the global invalidation stamp bumped on TLB flushes and
+	// shootdowns.
 	sb            []*sbFrame
 	sbOn          bool
 	decEpoch      uint64
@@ -282,9 +281,8 @@ type Config struct {
 	// (superblock.go); without it every instruction is interpreted.
 	Superblocks bool
 	// Phys, when non-nil, becomes the machine's physical memory instead of a
-	// freshly built one — the Image boot fast path hands in a prebuilt
-	// copy-on-write attachment (mem.BootPhysical). Its size must match
-	// PhysBytes.
+	// freshly built one — an Image boot hands in a copy-on-write
+	// attachment (mem.DecodePhysical). Its size must match PhysBytes.
 	Phys *mem.Physical
 }
 

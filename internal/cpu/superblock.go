@@ -236,11 +236,13 @@ func (m *Machine) InvalidateDecode() {
 // chain lets the run continue into successor blocks (see sbRun).
 func (m *Machine) sbExec(pa uint32, chain bool) (res StepResult, entered bool) {
 	f := pa >> mem.PageShift
-	if m.sb == nil {
-		m.sb = make([]*sbFrame, m.Phys.NumFrames())
-	}
 	if int(f) >= len(m.sb) {
-		return 0, false
+		if f >= m.Phys.NumFrames() {
+			return 0, false
+		}
+		// The array covers the frames the guest has fetched from, which
+		// lie below the memory's extent.
+		m.sb = append(m.sb, make([]*sbFrame, int(f)+1-len(m.sb))...)
 	}
 	sbf := m.sb[f]
 	switch {

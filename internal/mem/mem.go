@@ -1,6 +1,12 @@
 // Package mem implements the simulated physical memory: 4 KiB frames with a
-// free-list allocator and per-frame reference counts (used by copy-on-write
-// sharing in the kernel).
+// high-water-mark allocator and per-frame reference counts (used by
+// copy-on-write sharing in the kernel).
+//
+// Every per-frame array is bounded by the memory's extent: the frames below
+// the allocator's high-water mark, plus any frame written above it. A
+// machine, its Image and its checkpoints therefore cost what the guest
+// touched, not the configured memory size; frames past the extent are
+// unallocated and read as zero.
 //
 // Storage is layered, Firecracker snap-start style: a machine may attach an
 // immutable, refcounted Base image whose frames are shared (by pointer) with
@@ -52,18 +58,19 @@ func (e *FrameError) Error() string {
 }
 
 // Base is an immutable set of frame contents shareable across machines. A nil
-// entry means the frame is all-zero. Bases are created by Physical.Seal or
-// DecodeBase and must never be written after creation; machines attached to
-// a Base copy frames into their private overlay before the first store
-// (copy-on-write).
+// entry, or a frame past the end of the array, means the frame is all-zero.
+// Bases are created by Physical.Seal or DecodeBase and must never be written
+// after creation; machines attached to a Base copy frames into their private
+// overlay before the first store (copy-on-write).
 //
 // The reference count tracks attached Physicals only. It is atomic so that
 // machines in different goroutines (fleet workers, serve jobs) can attach and
 // detach concurrently; the frame contents need no synchronization because they
 // are immutable.
 type Base struct {
-	frames []*page
-	refs   atomic.Int32
+	frames  []*page
+	nframes uint32
+	refs    atomic.Int32
 }
 
 // page is one frame's contents. The frame arrays hold pointers to pages, a
@@ -72,7 +79,10 @@ type Base struct {
 type page = [PageSize]byte
 
 // NumFrames returns the number of frames the Base covers.
-func (b *Base) NumFrames() uint32 { return uint32(len(b.frames)) }
+func (b *Base) NumFrames() uint32 { return b.nframes }
+
+// Extent returns one past the last frame the Base may hold nonzero.
+func (b *Base) Extent() uint32 { return uint32(len(b.frames)) }
 
 // Refs returns the number of Physicals currently attached to the Base.
 func (b *Base) Refs() int { return int(b.refs.Load()) }
@@ -92,33 +102,35 @@ func (b *Base) View(f uint32) []byte {
 // Frame 0 is reserved and never handed out, so a zero frame number can be
 // used as "no frame" by callers.
 type Physical struct {
+	// The per-frame arrays all have the extent's length: grow lengthens them
+	// together before the first write to a frame past it. A frame past the
+	// extent is unallocated, all zero, at write generation 0 and, with a
+	// base attached, shared.
+	//
 	// frames is the private overlay; a nil entry is all-zero or shared
-	// through base. The whole array is allocated lazily on the first private
-	// materialization: a pointer array this size dominates both machine
-	// construction and every GC cycle, and a freshly booted or freshly
-	// attached machine has nothing private to store in it.
+	// through base.
 	frames []*page
 	// priv marks frames that have left the shared Base (copied out, released,
 	// or freshly allocated); meaningful only while base != nil. The inverted
 	// polarity ("private" rather than "shared") means a freshly attached or
 	// booted machine needs only a zeroed allocation, and detaching needs no
 	// loop at all.
-	priv    []bool
+	priv []bool
+	refs []uint16 // reference count per frame; 0 = free
+	gens []uint64 // per-frame write generation (see Gen)
+
 	base    *Base // immutable shared image, nil for a cold machine
 	nframes uint32
 
-	free     []uint32 // free-list stack of frame numbers
-	refs     []uint16 // reference count per frame; 0 = free
-	gens     []uint64 // per-frame write generation (see Gen)
-	allocCnt uint64   // lifetime allocations, for stats
-	faults   uint64   // contained machine-check faults
-	poison   []byte   // scratch frame returned for out-of-range Frame calls, made on first use
+	// The allocator hands out released frames last-freed first, then the
+	// frame at the high-water mark: frames at or above mark were never
+	// allocated.
+	mark     uint32
+	released []uint32
 
-	// metaShared marks free/refs/gens as aliases of an immutable Meta
-	// (BootPhysical): they are copy-on-write like the frames themselves, and
-	// every mutation of allocator state goes through ownMeta first. This is
-	// what makes booting from an Image O(1) in the frame count.
-	metaShared bool
+	allocCnt uint64 // lifetime allocations, for stats
+	faults   uint64 // contained machine-check faults
+	poison   []byte // scratch frame returned for out-of-range Frame calls, made on first use
 
 	nshared   int    // frames currently read through base
 	nprivate  int    // frames materialized in the private overlay
@@ -135,63 +147,31 @@ func NewPhysical(size int) (*Physical, error) {
 	if size <= 0 || size%PageSize != 0 {
 		return nil, fmt.Errorf("mem: size %d is not a positive multiple of %d", size, PageSize)
 	}
-	n := uint32(size / PageSize)
-	p := &Physical{
-		priv:    make([]bool, n),
-		nframes: n,
-		refs:    make([]uint16, n),
-		gens:    make([]uint64, n),
-		free:    make([]uint32, 0, n-1),
-	}
-	// Push high frames first so allocation order is low-to-high; frame 0 is
-	// reserved.
-	for f := n - 1; f >= 1; f-- {
-		p.free = append(p.free, f)
-	}
+	// Frame 0 is reserved: allocated from the start and never handed out.
+	p := &Physical{nframes: uint32(size / PageSize), mark: 1}
+	p.grow(0)
 	p.refs[0] = 1
 	return p, nil
 }
 
-// BootPhysical builds a Physical attached to base b with allocator state mt —
-// how every machine booted from an Image gets its memory. No allocator
-// arrays are built or copied: the new machine aliases the immutable Meta
-// until its first allocator mutation (ownMeta), exactly as its frames alias
-// the Base until the first store.
-func BootPhysical(b *Base, mt *Meta) (*Physical, error) {
-	if b == nil || mt == nil || mt.nframes == 0 || b.NumFrames() != mt.nframes {
-		return nil, fmt.Errorf("mem: image frames and allocator meta do not match")
+// grow lengthens the per-frame arrays to cover frame f, which must be below
+// nframes.
+func (p *Physical) grow(f uint32) {
+	n := int(f) + 1 - len(p.gens)
+	if n <= 0 {
+		return
 	}
-	n := mt.nframes
-	p := &Physical{
-		priv:       make([]bool, n),
-		base:       b,
-		nframes:    n,
-		free:       mt.free,
-		refs:       mt.refs,
-		gens:       mt.gens,
-		allocCnt:   mt.allocCnt,
-		faults:     mt.faults,
-		metaShared: true,
-		nshared:    int(n),
-	}
-	b.refs.Add(1)
-	return p, nil
+	p.frames = append(p.frames, make([]*page, n)...)
+	p.priv = append(p.priv, make([]bool, n)...)
+	p.refs = append(p.refs, make([]uint16, n)...)
+	p.gens = append(p.gens, make([]uint64, n)...)
 }
 
-// ownMeta makes the allocator arrays privately owned before a mutation. The
-// check is a single predictable branch so it can sit on the store hot path;
-// the clone itself runs at most once per machine.
-func (p *Physical) ownMeta() {
-	if p.metaShared {
-		p.unshareMeta()
-	}
-}
-
-func (p *Physical) unshareMeta() {
-	p.metaShared = false
-	p.free = append(make([]uint32, 0, p.nframes-1), p.free...)
-	p.refs = append([]uint16(nil), p.refs...)
-	p.gens = append([]uint64(nil), p.gens...)
+// bump records a change to frame f's contents, which must be below nframes,
+// by advancing its write generation.
+func (p *Physical) bump(f uint32) {
+	p.grow(f)
+	p.gens[f]++
 }
 
 // Size returns the total physical memory size in bytes.
@@ -201,7 +181,11 @@ func (p *Physical) Size() int { return int(p.nframes) * PageSize }
 func (p *Physical) NumFrames() uint32 { return p.nframes }
 
 // FreeFrames returns the number of currently allocatable frames.
-func (p *Physical) FreeFrames() int { return len(p.free) }
+func (p *Physical) FreeFrames() int { return int(p.nframes-p.mark) + len(p.released) }
+
+// Extent returns one past the last frame the machine has allocated or
+// written: every frame from it up is unallocated and all zero.
+func (p *Physical) Extent() uint32 { return uint32(len(p.gens)) }
 
 // Allocations returns the lifetime number of frame allocations.
 func (p *Physical) Allocations() uint64 { return p.allocCnt }
@@ -228,40 +212,36 @@ func (p *Physical) Base() *Base { return p.base }
 // all-zero or out of range) without affecting sharing or write generations.
 // The slice must not be written.
 func (p *Physical) View(f uint32) []byte {
-	if f >= p.nframes {
-		return nil
+	if pg := p.page(f); pg != nil {
+		return pg[:]
 	}
-	return p.view(f)
+	return nil
 }
 
-// view returns the current contents of frame f without affecting sharing or
-// write generations. nil means all-zero. The caller must have bounds-checked
-// f. The slice must not be written.
-func (p *Physical) view(f uint32) []byte {
-	var pg *page
+// page returns frame f's contents, nil when all-zero. An attached base
+// never extends past the extent (Seal and DecodePhysical see to it), but
+// may end before it.
+func (p *Physical) page(f uint32) *page {
 	switch {
+	case f >= p.Extent():
+		return nil
 	case p.base != nil && !p.priv[f]:
-		pg = p.base.frames[f]
-	case p.frames != nil:
-		pg = p.frames[f]
-	}
-	if pg == nil {
+		if f < p.base.Extent() {
+			return p.base.frames[f]
+		}
 		return nil
 	}
-	return pg[:]
+	return p.frames[f]
 }
 
 // writable returns a private, writable page for frame f, materializing it in
 // the overlay first if it is currently shared (copy-on-write) or all-zero.
-// The caller must have bounds-checked f and is responsible for the write
-// generation bump.
+// The caller must have bumped f's write generation, which also grows the
+// arrays to cover it.
 func (p *Physical) writable(f uint32) []byte {
-	if p.frames == nil {
-		p.frames = make([]*page, p.nframes)
-	}
 	if p.base != nil && !p.priv[f] {
 		pg := new(page)
-		if src := p.base.frames[f]; src != nil { // nil leaves the page zero
+		if src := p.page(f); src != nil { // nil leaves the page zero
 			*pg = *src
 		}
 		p.frames[f] = pg
@@ -285,7 +265,7 @@ func (p *Physical) release(f uint32) {
 		p.priv[f] = true
 		p.nshared--
 	}
-	if p.frames != nil && p.frames[f] != nil {
+	if p.frames[f] != nil {
 		p.frames[f] = nil
 		p.nprivate--
 	}
@@ -302,17 +282,12 @@ func (p *Physical) Seal() *Base {
 	if p.base != nil && p.nshared == int(p.nframes) {
 		return p.base
 	}
-	nb := &Base{frames: make([]*page, p.nframes)}
-	for f := uint32(0); f < p.nframes; f++ {
-		switch {
-		case p.base != nil && !p.priv[f]:
-			nb.frames[f] = p.base.frames[f]
-		case p.frames != nil && p.frames[f] != nil:
-			nb.frames[f] = p.frames[f]
-		}
+	nb := &Base{frames: make([]*page, p.Extent()), nframes: p.nframes}
+	for f := range nb.frames {
+		nb.frames[f] = p.page(uint32(f))
 	}
 	clear(p.priv)
-	p.frames = nil
+	clear(p.frames)
 	if p.base != nil {
 		p.base.refs.Add(-1)
 	}
@@ -342,22 +317,13 @@ func (p *Physical) Close() {
 // snapshot the generation at fill time and treat any later mismatch
 // as an invalidation. Copy-on-write materialization does not bump the
 // generation by itself (the contents are unchanged); the store that triggered
-// it does, exactly as on a private frame. Out-of-range frames report
-// generation 0.
+// it does, exactly as on a private frame. Frames past the extent, never
+// written, report generation 0.
 func (p *Physical) Gen(f uint32) uint64 {
-	if f >= p.nframes {
+	if f >= p.Extent() {
 		return 0
 	}
 	return p.gens[f]
-}
-
-// dirty bumps the write generation of the frame containing physical
-// address pa (no-op when out of range; the accessor already faulted).
-func (p *Physical) dirty(pa uint32) {
-	if f := pa >> PageShift; f < p.nframes {
-		p.ownMeta()
-		p.gens[f]++
-	}
 }
 
 // fault records a contained machine-check fault and notifies the hook.
@@ -375,17 +341,22 @@ var ErrOutOfMemory = fmt.Errorf("mem: out of physical frames")
 
 // Alloc allocates a zeroed frame with reference count 1.
 func (p *Physical) Alloc() (uint32, error) {
-	if len(p.free) == 0 {
+	var f uint32
+	switch {
+	case len(p.released) > 0:
+		f = p.released[len(p.released)-1]
+		p.released = p.released[:len(p.released)-1]
+	case p.mark < p.nframes:
+		f = p.mark
+		p.mark++
+	default:
 		return 0, ErrOutOfMemory
 	}
-	p.ownMeta()
-	f := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.refs[f] = 1
-	p.allocCnt++
 	// Zero the frame by releasing its contents; one generation bump, matching
 	// the historical clear-through-Frame behavior.
-	p.gens[f]++
+	p.bump(f)
+	p.refs[f] = 1
+	p.allocCnt++
 	p.release(f)
 	return f, nil
 }
@@ -394,33 +365,31 @@ func (p *Physical) Alloc() (uint32, error) {
 // (frame 0, out of range, or unallocated) is contained: the refcount is left
 // untouched and a FrameError is returned and delivered to the FaultHook.
 func (p *Physical) IncRef(f uint32) error {
-	if f == 0 || f >= p.nframes || p.refs[f] == 0 {
+	if f == 0 || f >= p.Extent() || p.refs[f] == 0 {
 		return p.fault("incref", f)
 	}
-	p.ownMeta()
 	p.refs[f]++
 	return nil
 }
 
 // RefCount returns the current reference count of frame f.
 func (p *Physical) RefCount(f uint32) int {
-	if f >= p.nframes {
+	if f >= p.Extent() {
 		return 0
 	}
 	return int(p.refs[f])
 }
 
-// Free decrements the reference count of frame f, returning it to the free
-// list when the count reaches zero. A double free or a free of frame 0 is
-// contained the same way IncRef misuse is.
+// Free decrements the reference count of frame f, releasing it to the
+// allocator when the count reaches zero. A double free or a free of frame 0
+// is contained the same way IncRef misuse is.
 func (p *Physical) Free(f uint32) error {
-	if f == 0 || f >= p.nframes || p.refs[f] == 0 {
+	if f == 0 || f >= p.Extent() || p.refs[f] == 0 {
 		return p.fault("free", f)
 	}
-	p.ownMeta()
 	p.refs[f]--
 	if p.refs[f] == 0 {
-		p.free = append(p.free, f)
+		p.released = append(p.released, f)
 	}
 	return nil
 }
@@ -443,8 +412,7 @@ func (p *Physical) Frame(f uint32) []byte {
 	// as a content change. Callers must not retain the slice across guest
 	// instructions for this to be sound (Seal relies on it too: sealed pages
 	// move into the immutable Base).
-	p.ownMeta()
-	p.gens[f]++
+	p.bump(f)
 	pg := p.writable(f)
 	return pg[:PageSize:PageSize]
 }
@@ -458,9 +426,8 @@ func (p *Physical) WriteFrame(f, off uint32, b []byte) {
 		p.fault("frame", f)
 		return
 	}
-	p.ownMeta()
-	p.gens[f]++
-	if p.view(f) == nil && !frameNonzero(b) {
+	p.bump(f)
+	if p.View(f) == nil && !frameNonzero(b) {
 		return
 	}
 	copy(p.writable(f)[off:], b)
@@ -474,7 +441,7 @@ func (p *Physical) Byte(pa uint32) byte {
 		p.fault("read", f)
 		return 0
 	}
-	b := p.view(f)
+	b := p.View(f)
 	if b == nil {
 		return 0
 	}
@@ -488,8 +455,7 @@ func (p *Physical) SetByte(pa uint32, v byte) {
 		p.fault("write", f)
 		return
 	}
-	p.ownMeta()
-	p.gens[f]++
+	p.bump(f)
 	p.writable(f)[pa&PageMask] = v
 }
 
@@ -509,7 +475,7 @@ func (p *Physical) Read32(pa uint32) uint32 {
 func (p *Physical) read32Slow(pa uint32) uint32 {
 	f := pa >> PageShift
 	if off := pa & PageMask; f < p.nframes && off <= PageSize-4 {
-		b := p.view(f)
+		b := p.View(f)
 		if b == nil {
 			return 0
 		}
@@ -523,12 +489,12 @@ func (p *Physical) read32Slow(pa uint32) uint32 {
 }
 
 // Write32 writes a little-endian 32-bit word at physical address pa. An
-// in-page word of a private, materialized frame whose allocator state the
-// machine owns is written directly, with the same generation bump as every
-// other store; everything else takes write32Slow.
+// in-page word of a private, materialized frame is written directly, with
+// the same generation bump as every other store; everything else takes
+// write32Slow.
 func (p *Physical) Write32(pa uint32, v uint32) {
 	f, off := pa>>PageShift, pa&PageMask
-	if fr := p.frames; f < uint32(len(fr)) && fr[f] != nil && off <= PageSize-4 && !p.metaShared {
+	if fr := p.frames; f < uint32(len(fr)) && fr[f] != nil && off <= PageSize-4 {
 		p.gens[f]++
 		binary.LittleEndian.PutUint32(fr[f][off:], v)
 		return
@@ -539,8 +505,7 @@ func (p *Physical) Write32(pa uint32, v uint32) {
 func (p *Physical) write32Slow(pa uint32, v uint32) {
 	f := pa >> PageShift
 	if off := pa & PageMask; f < p.nframes && off <= PageSize-4 {
-		p.ownMeta()
-		p.gens[f]++
+		p.bump(f)
 		binary.LittleEndian.PutUint32(p.writable(f)[off:], v)
 		return
 	}
@@ -558,9 +523,8 @@ func (p *Physical) CopyFrame(dst, src uint32) {
 		clear(d)
 		return
 	}
-	p.ownMeta()
-	p.gens[src]++ // Frame(src) would have bumped it; keep the cadence
-	if s := p.view(src); s != nil {
+	p.bump(src) // Frame(src) would have bumped it; keep the cadence
+	if s := p.View(src); s != nil {
 		copy(d, s)
 	} else {
 		clear(d)
@@ -576,7 +540,7 @@ func (p *Physical) RegisterTelemetry(r *telemetry.Registry) {
 	r.GaugeFunc("splitmem_mem_frames_total", "physical frames (including reserved frame 0)",
 		func() float64 { return float64(p.nframes) })
 	r.GaugeFunc("splitmem_mem_frames_free", "allocatable frames remaining",
-		func() float64 { return float64(len(p.free)) })
+		func() float64 { return float64(p.FreeFrames()) })
 	r.GaugeFunc("splitmem_mem_allocations_total", "lifetime frame allocations",
 		func() float64 { return float64(p.allocCnt) })
 	r.GaugeFunc("splitmem_mem_machine_checks_total", "contained physical-memory faults",
@@ -590,17 +554,20 @@ func (p *Physical) RegisterTelemetry(r *telemetry.Registry) {
 }
 
 // EncodeMeta serializes the allocator state — everything except frame
-// contents: free list order (a stack whose order decides every future
-// allocation), refcounts, write generations and counters.
+// contents: the high-water mark, the released stack (whose order, with the
+// mark, decides every future allocation), refcounts and write generations
+// up to the extent, and counters.
 func (p *Physical) EncodeMeta(w *snapshot.Writer) {
-	w.Grow(4 + 8 + 8 + 4 + 4*len(p.free) + (2+8)*int(p.nframes))
+	w.Grow(4 + 8 + 8 + 4 + 4 + 4*len(p.released) + 4 + (2+8)*len(p.gens))
 	w.U32(p.nframes)
 	w.U64(p.allocCnt)
 	w.U64(p.faults)
-	w.U32(uint32(len(p.free)))
-	for _, f := range p.free {
+	w.U32(p.mark)
+	w.U32(uint32(len(p.released)))
+	for _, f := range p.released {
 		w.U32(f)
 	}
+	w.U32(p.Extent())
 	for _, r := range p.refs {
 		w.U16(r)
 	}
@@ -609,11 +576,65 @@ func (p *Physical) EncodeMeta(w *snapshot.Writer) {
 	}
 }
 
+// DecodePhysical reads an allocator section written by EncodeMeta into a
+// Physical attached to b, the frames of the machine that wrote it: how
+// every machine booted from an Image gets its memory. The frames stay
+// shared until the first store to each.
+func DecodePhysical(r *snapshot.Reader, b *Base) (*Physical, error) {
+	n := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n == 0 || n > (1<<30)/PageSize {
+		return nil, snapshot.Corruptf("mem: implausible frame count %d", n)
+	}
+	if n != b.NumFrames() {
+		return nil, snapshot.Corruptf("mem: allocator of %d frames, image of %d", n, b.NumFrames())
+	}
+	p := &Physical{base: b, nframes: n, nshared: int(n), allocCnt: r.U64(), faults: r.U64(), mark: r.U32()}
+	if p.mark == 0 || p.mark > n {
+		return nil, snapshot.Corruptf("mem: high-water mark %d of %d frames", p.mark, n)
+	}
+	nrel := r.U32()
+	if nrel >= p.mark {
+		return nil, snapshot.Corruptf("mem: %d released frames below mark %d", nrel, p.mark)
+	}
+	p.released = make([]uint32, nrel)
+	for i := range p.released {
+		p.released[i] = r.U32()
+	}
+	ext := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if ext < p.mark || ext > n || ext < b.Extent() {
+		return nil, snapshot.Corruptf("mem: extent %d, mark %d, image frames to %d", ext, p.mark, b.Extent())
+	}
+	p.grow(ext - 1)
+	for f := range p.refs {
+		p.refs[f] = r.U16()
+	}
+	for f := range p.gens {
+		p.gens[f] = r.U64()
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	for _, f := range p.released {
+		if f == 0 || f >= p.mark {
+			return nil, snapshot.Corruptf("mem: released frame %d out of range", f)
+		}
+	}
+	b.refs.Add(1)
+	return p, nil
+}
+
 // FrameSource is read-only access to frame contents: a sealed Base, or a
 // live Physical read without going through Frame (which would bump write
 // generations and make serializing a machine a mutation).
 type FrameSource interface {
 	NumFrames() uint32
+	Extent() uint32 // frames from it up are all zero
 	View(f uint32) []byte
 }
 
@@ -633,7 +654,7 @@ type FrameSection struct {
 // ScanFrames scans src's frames for the section. The frames must not change
 // until the section is encoded.
 func ScanFrames(src FrameSource) FrameSection {
-	n := src.NumFrames()
+	n := src.Extent()
 	s := FrameSection{src: src, nonzero: make([]uint32, 0, n)}
 	for f := uint32(0); f < n; f++ {
 		if frameNonzero(src.View(f)) {
@@ -657,7 +678,9 @@ func (s FrameSection) Encode(w *snapshot.Writer) {
 	}
 }
 
-// DecodeBase reads a section written by FrameSection.Encode into a new Base.
+// DecodeBase reads a section written by FrameSection.Encode into a new Base,
+// whose frame array ends at the highest nonzero frame. The frames must come
+// in ascending order, as Encode writes them.
 func DecodeBase(r *snapshot.Reader) (*Base, error) {
 	n := r.U32()
 	if err := r.Err(); err != nil {
@@ -670,118 +693,23 @@ func DecodeBase(r *snapshot.Reader) (*Base, error) {
 	if nonzero > n {
 		return nil, snapshot.Corruptf("mem: %d nonzero frames of %d", nonzero, n)
 	}
-	frames := make([]*page, n)
+	var frames []*page
 	for i := uint32(0); i < nonzero; i++ {
 		f := r.U32()
-		if f >= n {
-			return nil, snapshot.Corruptf("mem: frame %d out of range", f)
+		b := r.Raw(PageSize)
+		if b == nil {
+			break // truncated: r.Err says so
 		}
-		if b := r.Raw(PageSize); b != nil {
-			frames[f] = (*page)(b)
+		if f >= n || f < uint32(len(frames)) {
+			return nil, snapshot.Corruptf("mem: frame %d out of range or order", f)
 		}
+		frames = append(frames, make([]*page, int(f)-len(frames))...)
+		frames = append(frames, (*page)(b))
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return &Base{frames: frames}, nil
-}
-
-// Meta is a decoded, immutable copy of the allocator state EncodeMeta
-// serializes: the free-list order, per-frame refcounts and write generations,
-// and the lifetime counters. An Image caches one so repeated boots from the
-// same template alias the allocator state (BootPhysical) instead of
-// re-parsing the byte section every time.
-type Meta struct {
-	nframes  uint32
-	allocCnt uint64
-	faults   uint64
-	free     []uint32
-	refs     []uint16
-	gens     []uint64
-}
-
-// SnapMeta captures the current allocator state as an immutable Meta. The
-// copy is deep, so the machine may keep running (and mutating its free list,
-// refcounts and generations) without disturbing the snapshot. A machine whose
-// arrays still alias a Meta (BootPhysical, no mutation since) shares them
-// onward instead of copying: re-imaging an undisturbed fork is free.
-func (p *Physical) SnapMeta() *Meta {
-	if p.metaShared {
-		return &Meta{
-			nframes:  p.nframes,
-			allocCnt: p.allocCnt,
-			faults:   p.faults,
-			free:     p.free,
-			refs:     p.refs,
-			gens:     p.gens,
-		}
-	}
-	return &Meta{
-		nframes:  p.nframes,
-		allocCnt: p.allocCnt,
-		faults:   p.faults,
-		free:     append([]uint32(nil), p.free...),
-		refs:     append([]uint16(nil), p.refs...),
-		gens:     append([]uint64(nil), p.gens...),
-	}
-}
-
-// DecodeMeta reads a section written by EncodeMeta as an immutable Meta.
-func DecodeMeta(r *snapshot.Reader) (*Meta, error) {
-	n := r.U32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n == 0 || n > (1<<30)/PageSize {
-		return nil, snapshot.Corruptf("mem: implausible frame count %d", n)
-	}
-	mt := &Meta{nframes: n, allocCnt: r.U64(), faults: r.U64()}
-	nfree := r.U32()
-	if nfree >= n {
-		return nil, snapshot.Corruptf("mem: free list of %d frames", nfree)
-	}
-	mt.free = make([]uint32, nfree)
-	for i := range mt.free {
-		mt.free[i] = r.U32()
-	}
-	mt.refs = make([]uint16, n)
-	for f := range mt.refs {
-		mt.refs[f] = r.U16()
-	}
-	mt.gens = make([]uint64, n)
-	for f := range mt.gens {
-		mt.gens[f] = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	for _, f := range mt.free {
-		if f == 0 || f >= n {
-			return nil, snapshot.Corruptf("mem: free frame %d out of range", f)
-		}
-	}
-	return mt, nil
-}
-
-// SkipMeta advances the reader past a section written by EncodeMeta without
-// decoding it, validating only the framing. It lets a boot that already holds
-// the decoded Meta (BootPhysical) keep the reader aligned with the canonical
-// section sequence.
-func SkipMeta(r *snapshot.Reader) error {
-	n := r.U32()
-	if n == 0 || n > (1<<30)/PageSize {
-		return snapshot.Corruptf("mem: implausible frame count %d", n)
-	}
-	r.U64() // allocCnt
-	r.U64() // faults
-	nfree := r.U32()
-	if nfree >= n {
-		return snapshot.Corruptf("mem: free list of %d frames", nfree)
-	}
-	r.Skip(int(nfree) * 4) // free list
-	r.Skip(int(n) * 2)     // refcounts
-	r.Skip(int(n) * 8)     // write generations
-	return r.Err()
+	return &Base{frames: frames, nframes: n}, nil
 }
 
 // frameNonzero reports whether b holds a nonzero byte, testing 32 bytes at
@@ -806,12 +734,11 @@ func frameNonzero(b []byte) bool {
 // PageSize*8-1). Flips of unallocated or reserved frames are refused so the
 // injector only corrupts memory that is actually in use.
 func (p *Physical) FlipBit(f uint32, bit uint32) bool {
-	if f == 0 || f >= p.nframes || p.refs[f] == 0 {
+	if f == 0 || f >= p.Extent() || p.refs[f] == 0 {
 		return false
 	}
 	bit %= PageSize * 8
-	p.ownMeta()
-	p.gens[f]++
+	p.bump(f)
 	p.writable(f)[bit>>3] ^= 1 << (bit & 7)
 	return true
 }

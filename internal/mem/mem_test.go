@@ -207,9 +207,7 @@ func TestReadWrite32(t *testing.T) {
 				q.Seal()
 			case "fork":
 				base := q.Seal()
-				if q, err = BootPhysical(base, q.SnapMeta()); err != nil {
-					t.Fatal(err)
-				}
+				q = bootFrom(t, q, base)
 			}
 			var want uint32
 			for i := uint32(0); i < 4; i++ {
@@ -434,13 +432,74 @@ func frameSectionCases(t *testing.T) []struct {
 	tmpl.SetByte(14*PageSize+PageSize-1, 9) // private, past the template
 	add("private overlays over a base", tmpl)
 
-	fork, err := BootPhysical(base, tmpl.SnapMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fork := bootFrom(t, tmpl, base)
 	fork.SetByte(2*PageSize+100, 0xEE)
 	fork.Write32(9*PageSize+36, 0) // unshared and zeroed
 	fork.CopyFrame(15, 11)         // a shared frame copied to a fresh one
 	add("copy-on-write fork", fork)
 	return cases
+}
+
+// bootFrom boots a Physical over base from p's allocator section, as an
+// Image boot does.
+func bootFrom(t *testing.T, p *Physical, base *Base) *Physical {
+	t.Helper()
+	w := snapshot.NewWriter()
+	p.EncodeMeta(w)
+	q, err := DecodePhysical(snapshot.NewReader(w.Bytes()), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestAllocOrderMatchesFreeList: the high-water mark and released stack
+// hand out frames in exactly the order of the free list they replaced (all
+// frames pushed high to low, frees pushed on top, allocations popped from
+// the top), through seeded alloc/free sequences that exhaust memory and
+// through boots from an encoded allocator section partway.
+func TestAllocOrderMatchesFreeList(t *testing.T) {
+	const n = 16
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, err := NewPhysical(n * PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var free, held []uint32
+		for f := uint32(n - 1); f >= 1; f-- {
+			free = append(free, f)
+		}
+		for op := 0; op < 200; op++ {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				p = bootFrom(t, p, p.Seal())
+			case r < 6:
+				got, err := p.Alloc()
+				if len(free) == 0 {
+					if err != ErrOutOfMemory {
+						t.Fatalf("seed %d op %d: Alloc on full memory = %d, %v", seed, op, got, err)
+					}
+					continue
+				}
+				want := free[len(free)-1]
+				free = free[:len(free)-1]
+				if err != nil || got != want {
+					t.Fatalf("seed %d op %d: Alloc = %d, %v; the free list gives %d", seed, op, got, err, want)
+				}
+				held = append(held, got)
+			case len(held) > 0:
+				i := rng.Intn(len(held))
+				f := held[i]
+				held = append(held[:i], held[i+1:]...)
+				if err := p.Free(f); err != nil {
+					t.Fatal(err)
+				}
+				free = append(free, f)
+			}
+			if p.FreeFrames() != len(free) {
+				t.Fatalf("seed %d op %d: FreeFrames = %d, the free list holds %d", seed, op, p.FreeFrames(), len(free))
+			}
+		}
+	}
 }

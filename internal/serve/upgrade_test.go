@@ -2,10 +2,10 @@ package serve
 
 // Upgrade tests: a checkpoint written by a build on the other side of a
 // machine-state format change must cost a job its progress, never the job.
-// testdata/legacy_checkpoint.snap is legacyBody's checkpoint at cycle
-// 400,000 in the inline-frames snapshot format (version 2) that the Image
-// format replaced. Its CRC is intact, so it passes the transfer gate; its
-// restore fails, and the job reruns from cycle 0 to the cold-run result.
+// Each fixture in upgradeFixtures is legacyBody's checkpoint at cycle
+// 400,000 in a format this build does not read. Its CRC is intact, so it
+// passes the transfer gate; its restore fails, and the job reruns from
+// cycle 0 to the cold-run result.
 
 import (
 	"bytes"
@@ -23,11 +23,17 @@ import (
 
 var legacyBody = fmt.Sprintf(`{"name": "legacy", "source": %q, "config": {"phys_bytes": 1048576}}`, loopSrc)
 
-// legacyCheckpoint loads the fixture and checks it is what the tests claim:
+// upgradeFixtures are the checkpoints under testdata: the inline-frames
+// snapshot format (version 2) that the Image format replaced, and a
+// version 2 Image, whose allocator section held the whole free list and
+// whose trace section every slot.
+var upgradeFixtures = []string{"legacy_checkpoint.snap", "v2_image_checkpoint.snap"}
+
+// legacyCheckpoint loads a fixture and checks it is what the tests claim:
 // intact bytes of another format version.
-func legacyCheckpoint(t *testing.T) []byte {
+func legacyCheckpoint(t *testing.T, fixture string) []byte {
 	t.Helper()
-	img, err := os.ReadFile(filepath.Join("testdata", "legacy_checkpoint.snap"))
+	img, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +79,17 @@ func checkRestartedFromScratch(t *testing.T, s *Server, got, want JobResult) {
 	}
 }
 
-// TestJournalReplaysLegacyCheckpoint: a journal left by the previous build,
+// TestJournalReplaysLegacyCheckpoint: a journal left by a previous build,
 // holding an acknowledged job and its old-format checkpoint, is replayed by
 // this one: the job is adopted and finishes from scratch.
 func TestJournalReplaysLegacyCheckpoint(t *testing.T) {
 	want := coldLegacyResult(t)
+	for _, fixture := range upgradeFixtures {
+		t.Run(fixture, func(t *testing.T) { replayLegacyCheckpoint(t, fixture, want) })
+	}
+}
+
+func replayLegacyCheckpoint(t *testing.T, fixture string, want JobResult) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	jn, err := openJournal(path, 64<<20, nil, nil)
 	if err != nil {
@@ -87,7 +99,7 @@ func TestJournalReplaysLegacyCheckpoint(t *testing.T) {
 	if err := jn.logJob(jobID, []byte(legacyBody)); err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.logCheckpoint(jobID, 400_000, legacyCheckpoint(t)); err != nil {
+	if err := jn.logCheckpoint(jobID, 400_000, legacyCheckpoint(t, fixture)); err != nil {
 		t.Fatal(err)
 	}
 	jn.close()
@@ -123,10 +135,16 @@ func TestJournalReplaysLegacyCheckpoint(t *testing.T) {
 // finishes from scratch.
 func TestResumeLegacyCheckpoint(t *testing.T) {
 	want := coldLegacyResult(t)
+	for _, fixture := range upgradeFixtures {
+		t.Run(fixture, func(t *testing.T) { resumeLegacyCheckpoint(t, fixture, want) })
+	}
+}
+
+func resumeLegacyCheckpoint(t *testing.T, fixture string, want JobResult) {
 	s, ts := bootServer(t, Config{Workers: 1, StreamSlice: 100_000})
 	body, err := json.Marshal(ResumeRequest{
 		Job:        json.RawMessage(legacyBody),
-		Checkpoint: legacyCheckpoint(t),
+		Checkpoint: legacyCheckpoint(t, fixture),
 		Cycles:     400_000,
 	})
 	if err != nil {

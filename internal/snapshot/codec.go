@@ -251,9 +251,3 @@ func (r *Reader) Raw(n int) []byte {
 	copy(out, b)
 	return out
 }
-
-// Skip advances past n bytes without copying them — for readers that hold a
-// decoded form of a section and only need to stay aligned with the stream.
-func (r *Reader) Skip(n int) {
-	r.take(n)
-}

@@ -76,6 +76,17 @@ func (r *Ring[T]) AppendTo(dst []T) []T {
 	return append(dst, r.buf[:r.pos]...)
 }
 
+// Each calls fn with each item, oldest first, copying none: codecs use it
+// to serialize a ring as deep as its cap.
+func (r *Ring[T]) Each(fn func(T)) {
+	for _, v := range r.buf[r.pos:] {
+		fn(v)
+	}
+	for _, v := range r.buf[:r.pos] {
+		fn(v)
+	}
+}
+
 // Items returns a copy of the items, oldest first (never nil).
 func (r *Ring[T]) Items() []T { return r.AppendTo(make([]T, 0, len(r.buf))) }
 
@@ -94,14 +105,3 @@ func (r *Ring[T]) Tail(n int) []T {
 
 // Reset empties the ring, keeping its storage.
 func (r *Ring[T]) Reset() { r.buf, r.pos, r.evicted = r.buf[:0], 0, 0 }
-
-// Slots returns the ring as the fixed array of Cap slots it models, for
-// codecs that must match that layout: the next item's slot, whether the
-// ring has wrapped, and the filled slots (aliased; the rest are unfilled).
-func (r *Ring[T]) Slots() (next int, wrapped bool, filled []T) {
-	return r.pos, len(r.buf) == r.max, r.buf
-}
-
-// SetSlots restores what Slots returned; the caller checks 0 <= next < Cap
-// and that filled holds Cap items (wrapped) or next. The ring keeps filled.
-func (r *Ring[T]) SetSlots(next int, filled []T) { r.buf, r.pos = filled, next }

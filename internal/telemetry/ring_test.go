@@ -30,24 +30,20 @@ func TestRingTailCopiesOnlyTail(t *testing.T) {
 	}
 }
 
-// TestRingSlotsRoundTrip: the positional form Slots reports — cursor, wrap
-// flag, filled slots — restores through SetSlots into a ring that holds,
-// and goes on recording, the same items; Reset empties a ring.
-func TestRingSlotsRoundTrip(t *testing.T) {
+// TestRingEachAndReset: Each visits the items Items copies, oldest first,
+// before the ring fills and at every wrap position after; Reset empties a
+// ring.
+func TestRingEachAndReset(t *testing.T) {
 	const n = 4
 	r := NewRing[int](n)
-	for v := 1; v <= 3*n; v++ {
-		next, wrapped, filled := r.Slots()
-		held := v - 1
-		if wrapped != (held >= n) || (!wrapped && next != held) || len(filled) != min(held, n) {
-			t.Fatalf("after %d pushes: Slots = %d, %v, %v", held, next, wrapped, filled)
+	for v := 0; v <= 3*n; v++ {
+		if v > 0 {
+			r.Push(v)
 		}
-		back := NewRing[int](n)
-		back.SetSlots(next, slices.Clone(filled))
-		back.Push(v)
-		r.Push(v)
-		if !slices.Equal(back.Items(), r.Items()) {
-			t.Fatalf("after %d pushes: restored ring holds %v, want %v", v, back.Items(), r.Items())
+		var each []int
+		r.Each(func(x int) { each = append(each, x) })
+		if want := r.Items(); !slices.Equal(each, want) {
+			t.Fatalf("after %d pushes: Each visited %v, want %v", v, each, want)
 		}
 	}
 	r.Reset()

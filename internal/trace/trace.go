@@ -56,19 +56,14 @@ func (r *Ring) Entries() []Entry { return r.ring.Items() }
 // scratch slice for the life of the ring.
 func (r *Ring) EntriesInto(dst []Entry) []Entry { return r.ring.AppendTo(dst) }
 
-// EncodeState serializes the ring positionally, as the fixed array of Cap
-// slots it models: capacity, cursor, wrap flag, then every slot, unfilled
-// ones as zero entries. A restored ring renders byte-identical listings.
+// EncodeState serializes the ring as its capacity, then the entries it
+// holds, oldest first: a checkpoint costs what the ring holds, not its
+// capacity. A restored ring renders byte-identical listings and evicts in
+// the same order.
 func (r *Ring) EncodeState(w *snapshot.Writer) {
-	next, wrapped, filled := r.ring.Slots()
 	w.U32(uint32(r.ring.Cap()))
-	w.Int(next)
-	w.Bool(wrapped)
-	for i := range r.ring.Cap() {
-		var e Entry
-		if i < len(filled) {
-			e = filled[i]
-		}
+	w.Int(r.ring.Len())
+	r.ring.Each(func(e Entry) {
 		w.U64(e.Cycles)
 		w.U32(e.EIP)
 		w.U8(uint8(e.Instr.Op))
@@ -76,26 +71,22 @@ func (r *Ring) EncodeState(w *snapshot.Writer) {
 		w.U8(e.Instr.R2)
 		w.U32(e.Instr.Imm)
 		w.Int(e.Instr.Size)
-	}
+	})
 }
 
 // DecodeState restores state serialized by EncodeState into a ring of the
-// same capacity, keeping only the filled slots: Cap of them once wrapped,
-// cursor of them before.
+// same capacity. A failed decode leaves the ring unchanged.
 func (r *Ring) DecodeState(rd *snapshot.Reader) error {
 	n := r.ring.Cap()
 	if c := rd.U32(); int(c) != n {
 		return snapshot.Corruptf("trace: ring of %d entries, machine has %d", c, n)
 	}
-	next, keep := rd.Int(), n
-	if !rd.Bool() {
-		keep = next
+	held := rd.Int()
+	if held < 0 || held > n {
+		return snapshot.Corruptf("trace: %d entries in a ring of %d", held, n)
 	}
-	if next < 0 || next >= n {
-		return snapshot.Corruptf("trace: cursor %d out of range", next)
-	}
-	var filled []Entry
-	for i := 0; i < n && rd.Err() == nil; i++ {
+	ring := telemetry.NewRing[Entry](n)
+	for i := 0; i < held && rd.Err() == nil; i++ {
 		var e Entry
 		e.Cycles = rd.U64()
 		e.EIP = rd.U32()
@@ -104,14 +95,12 @@ func (r *Ring) DecodeState(rd *snapshot.Reader) error {
 		e.Instr.R2 = rd.U8()
 		e.Instr.Imm = rd.U32()
 		e.Instr.Size = rd.Int()
-		if i < keep {
-			filled = append(filled, e)
-		}
+		ring.Push(e)
 	}
 	if err := rd.Err(); err != nil {
 		return err
 	}
-	r.ring.SetSlots(next, filled)
+	r.ring = ring
 	return nil
 }
 

@@ -4,13 +4,14 @@ package splitmem
 // one wire format, the Image format (image.go): a metadata section encoded
 // here, followed by the nonzero physical frames. Together they capture the
 // CPU register file and counters, every physical frame (split code/data
-// twins included) with the allocator's free-list order, refcounts and write
-// generations, pagetables, both TLBs with their deliberately desynchronized
-// contents and restriction state, the kernel (process table, run queue,
-// pipes, event ring with lifetime cursors), the protection engine's state,
-// the execution-trace ring, and the chaos injector's PRNG stream — such that
-// a machine booted from the bytes (ReadImage, then Image.Boot) resumes the
-// exact retired-instruction stream the uninterrupted machine would have
+// twins included) with the allocator's high-water mark, released stack,
+// refcounts and write generations, pagetables, both TLBs with their
+// deliberately desynchronized contents and restriction state, the kernel
+// (process table, run queue, pipes, event ring with lifetime cursors), the
+// protection engine's state, the entries the execution-trace ring holds,
+// and the chaos injector's PRNG stream — such that a machine booted from
+// the bytes (ReadImage, then Image.Boot) resumes the exact
+// retired-instruction stream the uninterrupted machine would have
 // produced. Encoding is a pure function of machine state: maps are
 // serialized in sorted order, the TLBs positionally, and all-zero frames are
 // skipped, so identical machines produce identical bytes however they came
@@ -76,11 +77,9 @@ func (m *Machine) Snapshot() ([]byte, error) {
 }
 
 // decodeMeta builds a machine from an Image metadata section, attached to
-// the image's shared frames copy-on-write. A non-nil pmeta is a cached
-// decode of the section's allocator metadata (it always comes from a prior
-// decode of the same bytes): that part of the section is skipped, which is
-// what makes repeated boots from one Image cheap.
-func decodeMeta(meta []byte, hook func(Event), base *mem.Base, pmeta *mem.Meta) (*Machine, error) {
+// the image's shared frames copy-on-write. Every boot decodes the allocator
+// section: it holds per-frame state only up to the extent the guest used.
+func decodeMeta(meta []byte, hook func(Event), base *mem.Base) (*Machine, error) {
 	r := snapshot.NewReader(meta)
 	cfg, err := decodeConfig(r)
 	if err != nil {
@@ -93,17 +92,9 @@ func decodeMeta(meta []byte, hook func(Event), base *mem.Base, pmeta *mem.Meta) 
 		return nil, snapshot.Corruptf("image demands an implausible machine: %v", err)
 	}
 	cfg.EventHook = hook
-	if pmeta != nil {
-		err = mem.SkipMeta(r)
-	} else {
-		pmeta, err = mem.DecodeMeta(r)
-	}
+	phys, err := mem.DecodePhysical(r, base)
 	if err != nil {
 		return nil, err
-	}
-	phys, err := mem.BootPhysical(base, pmeta)
-	if err != nil {
-		return nil, snapshot.Corruptf("%v", err)
 	}
 	// attached holds the Base reference until the decode is known good, so
 	// a boot that fails partway never leaks it.

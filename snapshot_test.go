@@ -186,12 +186,17 @@ func FuzzRestore(f *testing.F) {
 // runs it for budget cycles, parking it at a timeslice boundary the way a
 // checkpointing replica does.
 func parkedWorkload(tb testing.TB, name string, budget uint64) *splitmem.Machine {
+	return parkedWorkloadWith(tb, name, budget, splitmem.Config{Protection: splitmem.ProtSplit})
+}
+
+// parkedWorkloadWith is parkedWorkload on a machine built from cfg.
+func parkedWorkloadWith(tb testing.TB, name string, budget uint64, cfg splitmem.Config) *splitmem.Machine {
 	tb.Helper()
 	prog, ok := workloads.Lookup(name)
 	if !ok {
 		tb.Fatalf("%s workload missing from catalog", name)
 	}
-	m, err := splitmem.New(splitmem.Config{Protection: splitmem.ProtSplit})
+	m, err := splitmem.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -210,12 +215,11 @@ func parkedWorkload(tb testing.TB, name string, budget uint64) *splitmem.Machine
 }
 
 // TestSnapshotAllocs: a checkpoint sizes its buffers once. Snapshot of gzip
-// parked at 3M cycles (a 1.2 MB image with a 236 KB metadata section)
-// allocates 16 times. Growing the image buffer by appending, one
-// reallocation per doubling, took it to 61; leaving only the image
-// writer's up-front sizing out takes it to 27; sizing the metadata writer
-// for its allocator section alone, so the sections after it grew it by
-// appending, took it to 23.
+// parked at 3M cycles (a 969 KB image) allocates 16 times. Growing the
+// image buffer by appending, one reallocation per doubling, took it to 61;
+// leaving only the image writer's up-front sizing out takes it to 27;
+// sizing the metadata writer for its allocator section alone, so the
+// sections after it grew it by appending, took it to 23.
 func TestSnapshotAllocs(t *testing.T) {
 	m := parkedWorkload(t, "gzip", 3_000_000)
 	defer m.Close()

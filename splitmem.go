@@ -246,9 +246,9 @@ type Machine struct {
 // caller's.
 func New(cfg Config) (*Machine, error) { return newMachine(cfg, nil) }
 
-// newMachine is New with an optional prebuilt physical memory, the seam the
-// Image boot fast path uses to hand in a copy-on-write attachment
-// (mem.BootPhysical) instead of paying for a cold allocator build.
+// newMachine is New with an optional prebuilt physical memory, the seam an
+// Image boot uses to hand in a copy-on-write attachment decoded from the
+// image (mem.DecodePhysical).
 func newMachine(cfg Config, phys *mem.Physical) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
